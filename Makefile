@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test bench bench-smoke bench-sweep bench-vector bench-fleet bench-obs bench-build bench-serve bench-orchestrator fuzz-smoke report examples lint all
+.PHONY: test bench bench-smoke bench-sweep bench-vector bench-fleet bench-fleet-lpt bench-obs bench-build bench-serve bench-orchestrator fuzz-smoke report examples lint all
 
 test:
 	$(PYTHON) -m pytest tests/
@@ -21,6 +21,9 @@ bench-vector:
 
 bench-fleet:
 	PYTHONPATH=src $(PYTHON) -m repro.cli fleet --json BENCH_fleet.json
+
+bench-fleet-lpt:
+	$(PYTHON) benchmarks/fleet_smoke.py
 
 bench-obs:
 	$(PYTHON) benchmarks/obs_smoke.py

@@ -206,6 +206,26 @@ class TestEpochDeltaCheck:
             assert scenario.kind == "fleet"
             assert scenario.epochs is not None
 
+    def test_least_loaded_days_pin_the_placement_kernel(self, monkeypatch):
+        import repro.runtime.fleet as fleet_module
+
+        fuzzer = DifferentialFuzzer(seed=5, epoch_rate=1.0, max_epochs=2,
+                                    max_epoch_flows=400)
+        scenario = next(candidate for candidate in
+                        (fuzzer.generate_epoch() for _ in range(50))
+                        if candidate.epochs.policy == "least-loaded")
+        assert fuzzer.check_epoch_delta(scenario) is None
+
+        real = fleet_module.least_loaded_rounds
+
+        def misplaced(rates, capacity, out=None):
+            assign = real(rates, capacity, out=out)
+            assign[-1] = (assign[-1] + 1) % len(capacity)
+            return assign
+
+        monkeypatch.setattr(fleet_module, "least_loaded_rounds", misplaced)
+        assert "heap oracle" in fuzzer.check_epoch_delta(scenario)
+
     def test_injected_epoch_failure_is_found_and_shrunk(self, tmp_path):
         shrunk_texts = []
         for tag in ("a", "b"):
