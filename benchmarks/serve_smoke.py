@@ -6,6 +6,9 @@ the build when any regresses:
 * **warm >= 10x cold** -- a scenario served by the resident daemon must
   beat the cold one-shot CLI (interpreter boot, imports, cold caches)
   by at least 10x.  The daemon's whole point is amortising that bill.
+* **repeats are memo hits** -- after the first BASE request, every one
+  of the WARM_SAMPLES identical repeats must be served from the
+  coalescer's response memo: exactly one execution, WARM_SAMPLES hits.
 * **coalescing executes once** -- concurrent identical requests must
   fold into a single execution (counters from the daemon's coalescer,
   efficiency >= 90% for a 16-way burst).
@@ -200,7 +203,11 @@ def run() -> dict:
     with serve_in_thread(config) as handle:
         client = ServeClient(handle.host, handle.port, timeout=120.0)
 
+        before = handle.daemon.coalescer.counters()
         warm_request_s = time_warm_daemon(client)
+        after = handle.daemon.coalescer.counters()
+        warm_memo = {name: after[name] - before[name]
+                     for name in ("executions", "memo_hits")}
         fused = fused_planner_stats(client)
         coalesce = coalescing_burst(handle, client)
 
@@ -221,11 +228,13 @@ def run() -> dict:
         "cold_cli_s": round(cold_cli_s, 6),
         "warm_request_s": round(warm_request_s, 6),
         "warm_speedup": round(cold_cli_s / warm_request_s, 3),
+        "warm_memo": warm_memo,
         "coalesce": coalesce,
         "fused": fused,
         "load": load.to_json(),
         "slo": slo,
         "cache_entries": stats["cache"]["entries"],
+        "memo_hits": stats["coalescer"]["memo_hits"],
         "shed": stats["admission"]["shed"],
         "quota_rejections": stats["admission"]["quota_rejections"],
     }
@@ -243,6 +252,12 @@ def main() -> int:
               f"{baseline['warm_speedup']:.2f}x faster than the cold "
               f"one-shot CLI (budget {WARM_SPEEDUP_BUDGET:.0f}x)",
               file=sys.stderr)
+        failed = True
+    if baseline["warm_memo"] != {"executions": 1,
+                                 "memo_hits": WARM_SAMPLES}:
+        print(f"FAIL: {1 + WARM_SAMPLES} identical warm requests must run "
+              f"once and hit the response memo {WARM_SAMPLES} times; got "
+              f"{baseline['warm_memo']}", file=sys.stderr)
         failed = True
     if baseline["coalesce"]["efficiency"] < COALESCE_EFFICIENCY_BUDGET:
         print(f"FAIL: coalescing folded only "

@@ -533,6 +533,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(f"# shutdown after {served} request(s), "
           f"{coalesce['executions']} execution(s), "
           f"{coalesce['attached']} coalesced, "
+          f"{coalesce['memo_hits']} memo hit(s), "
           f"{len(daemon.cache)} cache entr(ies) resident", file=sys.stderr)
     return code
 

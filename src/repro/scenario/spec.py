@@ -523,11 +523,25 @@ class Scenario:
         engine choice changes how a scenario runs, never what it
         computes -- like ``SweepPoint.engine``, it stays out of every
         content key (see ``docs/performance.md``).
+
+        The scenario is frozen, so the id (and the canonical validation
+        behind it) is computed once per instance and cached outside the
+        dataclass fields: equality, hashing, ``replace`` and pickling
+        never see it.
         """
-        payload = self.to_json()
-        del payload["engine"]
-        return hashlib.sha256(
-            canonical_dumps(payload).encode("utf-8")).hexdigest()
+        cached = self.__dict__.get("_scenario_id")
+        if cached is None:
+            payload = self.to_json()
+            del payload["engine"]
+            cached = hashlib.sha256(
+                canonical_dumps(payload).encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_scenario_id", cached)
+        return cached
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("_scenario_id", None)
+        return state
 
     _FIELDS = ("version", "kind", "apps", "devices", "engine", "seed",
                "year", "workload", "tenancy", "build", "epochs")

@@ -39,7 +39,9 @@ the scenario's kind via :func:`repro.service.slo_monitor_for`; arbitrary
 spec *files* are CLI-only -- an HTTP query must not name server paths)
 and identify their tenant via the ``X-Tenant`` header.
 
-Request flow: quota check (429) -> coalescer join -- followers attach
+Request flow: quota check (429) -> coalescer join -- a request whose
+SLO-less identical scenario already completed is answered from the
+coalescer's bounded response memo on the event loop, followers attach
 to an in-flight identical run for free -> leaders claim a bounded
 queue slot (503 when full) and execute on a thread pool.  Responses for
 identical scenarios are byte-identical no matter how they were served;
@@ -305,7 +307,7 @@ class ServingDaemon:
 
     async def _read_request(self, reader: asyncio.StreamReader
                             ) -> Tuple[str, str, Dict[str, str], bytes]:
-        request_line = await reader.readline()
+        request_line = await _read_line(reader, "request line")
         if not request_line:
             raise asyncio.IncompleteReadError(b"", None)
         if len(request_line) > _MAX_REQUEST_LINE:
@@ -316,7 +318,7 @@ class ServingDaemon:
         method, target = parts[0], parts[1]
         headers: Dict[str, str] = {}
         for _ in range(_MAX_HEADERS + 1):
-            line = await reader.readline()
+            line = await _read_line(reader, "header line")
             if line in (b"\r\n", b"\n", b""):
                 break
             if len(headers) >= _MAX_HEADERS:
@@ -491,7 +493,8 @@ class ServingDaemon:
                 400, f"scenario kind {scenario.kind!r} does not match "
                 f"endpoint /v1/{endpoint_kind}; use /v1/run or "
                 f"/v1/{scenario.kind}")
-        info["scenario_id"] = scenario.scenario_id()
+        scenario_id = scenario.scenario_id()
+        info["scenario_id"] = scenario_id
 
         if not self.admission.check_quota(tenant):
             self.metrics.increment("serve.quota_rejected")
@@ -500,8 +503,16 @@ class ServingDaemon:
                 429, f"tenant {tenant!r} exceeded its "
                 f"{self.admission.quota_rps:g} req/s quota")
 
-        key = (scenario.kind, scenario.scenario_id(), slo)
+        key = (scenario.kind, scenario_id, slo)
         leader, future = self.coalescer.join(key)
+        if isinstance(future, bytes):
+            # join() handed back a finished leader's stored body: no
+            # queue slot, no hop to the executor, no run.
+            info["coalesce"] = "memo"
+            info["admission"] = "admitted"
+            self.metrics.increment("serve.coalesce.memo_hits")
+            return 200, future, {"X-Scenario-Id": scenario_id,
+                                 "X-Coalesced": "memo"}
         if leader:
             info["coalesce"] = "leader"
             self.metrics.increment("serve.coalesce.executed")
@@ -533,7 +544,10 @@ class ServingDaemon:
                             slo=slo, trace_context=trace_ctx, **kwargs)
                         self._record_execution(outcome)
                         body = outcome.response_text().encode("utf-8")
-                        self.coalescer.resolve(key, future, body)
+                        # With ?slo the body may carry wall-clock
+                        # histograms, so only SLO-less bodies are stored.
+                        self.coalescer.resolve(key, future, body,
+                                               memoise=slo is None)
                     except BaseException as exc:
                         self.coalescer.reject(key, future, exc)
                     finally:
@@ -568,7 +582,7 @@ class ServingDaemon:
             if "exec_start" in info:
                 info["exec_end"] = time.monotonic()
         return 200, body, {
-            "X-Scenario-Id": key[1],
+            "X-Scenario-Id": scenario_id,
             "X-Coalesced": "leader" if leader else "follower",
         }
 
@@ -688,6 +702,14 @@ class ServingDaemon:
             return Scenario.from_json(data)
         except HarmoniaError as exc:
             raise _HttpError(400, str(exc))
+
+
+async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
+    """One CRLF line; a line beyond the stream's buffer limit is a 400."""
+    try:
+        return await reader.readline()
+    except ValueError:   # asyncio.LimitOverrunError, re-raised by readline
+        raise _HttpError(400, f"{what} too long")
 
 
 # ---------------------------------------------------------------------- #

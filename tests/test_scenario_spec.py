@@ -2,7 +2,9 @@
 serialisation, identity, and the tier-native conversions."""
 
 import dataclasses
+import hashlib
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -153,6 +155,41 @@ class TestScenarioIdentity:
         scenario = sweep_scenario()
         reordered = dict(reversed(list(scenario.to_json().items())))
         assert Scenario.from_json(reordered).scenario_id() == scenario.scenario_id()
+
+    def test_cached_id_equals_the_uncached_canonical_hash(self, monkeypatch):
+        import repro.scenario.spec as spec_module
+
+        calls = []
+        uncached = spec_module.canonical_dumps
+
+        def counting(value):
+            calls.append(1)
+            return uncached(value)
+
+        monkeypatch.setattr(spec_module, "canonical_dumps", counting)
+        scenario = sweep_scenario(seed=11)
+        payload = scenario.to_json()
+        del payload["engine"]
+        expected = hashlib.sha256(
+            uncached(payload).encode("utf-8")).hexdigest()
+        assert scenario.scenario_id() == expected
+        assert scenario.scenario_id() == expected
+        assert len(calls) == 1            # validated once per instance
+        assert scenario.replace(seed=12).scenario_id() != expected
+        assert len(calls) == 2            # a new instance validates again
+
+    def test_cached_id_is_invisible_to_dataclass_behaviour(self):
+        cached, fresh = sweep_scenario(), sweep_scenario()
+        cached.scenario_id()
+        assert cached == fresh
+        assert hash(cached) == hash(fresh)
+        assert repr(cached) == repr(fresh)
+        assert dataclasses.replace(cached) == fresh
+        assert dataclasses.replace(cached, seed=5) == fresh.replace(seed=5)
+        assert pickle.dumps(cached) == pickle.dumps(fresh)
+        clone = pickle.loads(pickle.dumps(cached))
+        assert clone == cached
+        assert clone.scenario_id() == cached.scenario_id()
 
 
 class TestEpochsSection:

@@ -4,6 +4,7 @@ Token buckets and the bounded queue use an injected clock, so every
 assertion here is deterministic -- no sleeps, no load-dependent flakes.
 """
 
+import sys
 import threading
 from concurrent.futures import Future
 
@@ -119,7 +120,9 @@ class TestRequestCoalescer:
             assert not is_leader
             assert attached is future
         assert coalescer.counters() == {
-            "executions": 1, "attached": 3, "inflight": 1}
+            "executions": 1, "attached": 3, "inflight": 1,
+            "memo_hits": 0, "memo_entries": 0, "memo_bytes": 0,
+            "memo_evictions": 0}
         coalescer.resolve("key", future, b"payload")
         assert future.result(timeout=1) == b"payload"
         assert coalescer.inflight == 0
@@ -135,9 +138,13 @@ class TestRequestCoalescer:
         coalescer = RequestCoalescer()
         leader, future = coalescer.join("key")
         coalescer.resolve("key", future, b"one")
-        again, fresh = coalescer.join("key")
-        assert again                      # a new run, not the stale future
-        assert fresh is not future
+        assert coalescer.inflight == 0
+        again, stored = coalescer.join("key")
+        assert not again                  # served from the memo ...
+        assert stored == future.result(timeout=1) == b"one"
+        counters = coalescer.counters()  # ... not the stale future
+        assert (counters["executions"], counters["attached"],
+                counters["memo_hits"]) == (1, 0, 1)
 
     def test_rejection_propagates_to_followers(self):
         coalescer = RequestCoalescer()
@@ -171,3 +178,102 @@ class TestRequestCoalescer:
         assert len(set(map(id, futures))) == 1
         assert coalescer.executions == 1
         assert coalescer.attached == 15
+
+
+
+class TestResponseMemo:
+    @staticmethod
+    def _run(coalescer, key, body):
+        leader, future = coalescer.join(key)
+        assert leader
+        coalescer.resolve(key, future, body)
+
+    def test_lru_evicts_the_least_recent_body_under_a_small_budget(self):
+        coalescer = RequestCoalescer(memo_budget=64)    # 8-byte entry cap
+        for index in range(8):
+            self._run(coalescer, f"k{index}", b"%08d" % index)
+        assert coalescer.join("k0") == (False, b"00000000")  # now recent
+        self._run(coalescer, "k8", b"00000008")
+        counters = coalescer.counters()
+        assert (counters["memo_entries"], counters["memo_bytes"],
+                counters["memo_evictions"]) == (8, 64, 1)
+        leader, _ = coalescer.join("k1")      # the LRU entry fell out
+        assert leader
+        assert coalescer.join("k0") == (False, b"00000000")
+        assert coalescer.memo_hits == 2
+
+    def test_oversize_body_is_not_stored(self):
+        coalescer = RequestCoalescer(memo_budget=64)
+        self._run(coalescer, "big", b"x" * 9)         # > 64 // 8
+        self._run(coalescer, "fits", b"x" * 8)
+        assert coalescer.counters()["memo_entries"] == 1
+        leader, future = coalescer.join("big")
+        assert leader and isinstance(future, Future)
+
+    def test_rejected_run_is_not_stored_and_the_next_join_leads(self):
+        coalescer = RequestCoalescer()
+        _, future = coalescer.join("key")
+        _, attached = coalescer.join("key")
+        coalescer.reject("key", future, RuntimeError("boom"))
+        again, fresh = coalescer.join("key")
+        assert again
+        assert isinstance(fresh, Future) and fresh is not future
+        assert not fresh.done()
+        counters = coalescer.counters()
+        assert (counters["memo_entries"], counters["memo_hits"],
+                counters["executions"]) == (0, 0, 2)
+
+    @pytest.mark.parametrize("budget, memoise", [
+        (0, True),       # nothing fits the memo
+        (1 << 20, False),  # an SLO request's body is never stored
+    ])
+    def test_in_flight_table_never_hands_out_a_stale_future(
+            self, budget, memoise):
+        coalescer = RequestCoalescer(memo_budget=budget)
+        finished = []
+        for _ in range(3):
+            leader, future = coalescer.join("key")
+            assert leader and not future.done()
+            assert all(future is not old for old in finished)
+            coalescer.resolve("key", future, b"body", memoise=memoise)
+            finished.append(future)
+        assert coalescer.counters()["memo_entries"] == 0
+        assert coalescer.inflight == 0
+
+    def test_concurrent_joins_and_resolves_keep_the_books(self):
+        coalescer = RequestCoalescer(memo_budget=64)   # 8 bodies: evicts
+        keys = [f"k{index:02d}" for index in range(12)]
+        joins_per_thread, threads_count = 300, 16
+        wrong = []
+
+        def worker(seed):
+            for step in range(joins_per_thread):
+                key = keys[(seed * 7 + step) % len(keys)]
+                expected = key.encode().ljust(8, b".")
+                leader, pending = coalescer.join(key)
+                if leader:
+                    coalescer.resolve(key, pending, expected)
+                body = (pending if isinstance(pending, bytes)
+                        else pending.result(timeout=10))
+                if body != expected:
+                    wrong.append((key, body))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,))
+                       for seed in range(threads_count)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+        counters = coalescer.counters()
+        assert (counters["executions"] + counters["attached"]
+                + counters["memo_hits"]) == joins_per_thread * threads_count
+        assert counters["inflight"] == 0
+        assert counters["memo_bytes"] == 8 * counters["memo_entries"] <= 64
+        assert counters["memo_evictions"] >= len(keys) - 8

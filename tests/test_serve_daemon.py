@@ -120,7 +120,9 @@ class TestOrchestratorServing:
     def test_day_totals_fold_into_stats_counters(self, client):
         scenario = self._epoch_fleet()
         client.run_scenario(scenario, endpoint="fleet")
-        client.run_scenario(scenario, endpoint="fleet")
+        # An identical SLO-less repeat would be a memo hit; ?slo=default
+        # is a distinct key, so the day runs a second time.
+        client.run_scenario(scenario, endpoint="fleet", slo="default")
         stats = client.stats()["orchestrator"]
         assert stats["runs"] == 2
         assert stats["epochs"] == 6
@@ -180,6 +182,22 @@ class TestErrors:
 
     def test_remote_shutdown_is_disabled_by_default(self, client):
         assert client.shutdown().status == 404
+
+    def test_oversized_request_line_is_400(self, client):
+        from repro.serve import http_request
+
+        response = http_request(client.host, client.port, "GET",
+                                "/" + "x" * 70_000)
+        assert response.status == 400
+        assert response.json()["error"] == "request line too long"
+
+    def test_oversized_header_line_is_400(self, client):
+        from repro.serve import http_request
+
+        response = http_request(client.host, client.port, "GET", "/healthz",
+                                headers={"X-Big": "x" * 70_000})
+        assert response.status == 400
+        assert response.json()["error"] == "header line too long"
 
 
 class _GatedExecution:
@@ -265,11 +283,68 @@ class TestCoalescing:
             responses["b"].headers["x-scenario-id"]
 
     def test_sequential_identical_requests_do_not_coalesce(self, client):
-        client.run_scenario(SWEEP, endpoint="sweep")
-        client.run_scenario(SWEEP, endpoint="sweep")
+        first = client.run_scenario(SWEEP, endpoint="sweep")
+        second = client.run_scenario(SWEEP, endpoint="sweep")
         counters = client.stats()["coalescer"]
-        assert counters["executions"] == 2
-        assert counters["attached"] == 0
+        assert counters["executions"] == 1   # the repeat is a memo hit,
+        assert counters["attached"] == 0     # not an in-flight follower
+        assert counters["memo_hits"] == 1
+        assert first.body == second.body
+        assert (first.headers["x-coalesced"],
+                second.headers["x-coalesced"]) == ("leader", "memo")
+
+
+class TestResponseMemo:
+    def test_memo_hit_is_solo_bytes_and_runs_nothing(
+            self, handle, client, monkeypatch):
+        first = client.run_scenario(SWEEP, endpoint="sweep")
+        runs, submits = [], []
+        monkeypatch.setattr(daemon_module, "run_scenario",
+                            lambda *args, **kwargs: runs.append(1))
+        monkeypatch.setattr(handle.daemon.executor, "submit",
+                            lambda *args, **kwargs: submits.append(1))
+        hit = client.run_scenario(SWEEP, endpoint="run")
+        assert hit.status == 200
+        assert hit.headers["x-coalesced"] == "memo"
+        assert hit.headers["x-scenario-id"] == SWEEP.scenario_id()
+        assert hit.body == first.body == \
+            run_scenario(SWEEP).response_text().encode("utf-8")
+        assert runs == [] and submits == []
+        assert client.stats()["coalescer"] == {
+            "executions": 1, "attached": 0, "inflight": 0, "memo_hits": 1,
+            "memo_entries": 1, "memo_bytes": len(first.body),
+            "memo_evictions": 0}
+        assert client.stats()["metrics"]["serve"]["coalesce"] == {
+            "executed": 1, "memo_hits": 1}
+        assert ('harmonia_memo_hits_total{path="serve.coalesce"} 1'
+                in client.metrics_text())
+
+    def test_slo_requests_bypass_the_memo(self, client):
+        client.run_scenario(SWEEP, endpoint="sweep")
+        for _ in range(2):
+            response = client.run_scenario(SWEEP, endpoint="sweep",
+                                           slo="default")
+            assert response.status == 200
+            assert response.headers["x-coalesced"] == "leader"
+        counters = client.stats()["coalescer"]
+        assert (counters["executions"], counters["memo_hits"],
+                counters["memo_entries"]) == (3, 0, 1)
+
+    def test_quota_and_kind_checks_fire_on_a_memoised_scenario(self):
+        config = ServeConfig(port=0, quota_rps=0.001, quota_burst=1.0)
+        with serve_in_thread(config) as running:
+            client = ServeClient(running.host, running.port)
+            assert client.run_scenario(SWEEP, endpoint="sweep",
+                                       tenant="alpha").status == 200
+            hit = client.run_scenario(SWEEP, endpoint="sweep", tenant="beta")
+            assert (hit.status, hit.headers["x-coalesced"]) == (200, "memo")
+            assert client.run_scenario(SWEEP, endpoint="sweep",
+                                       tenant="alpha").status == 429
+            mismatch = client.run_scenario(SWEEP, endpoint="fleet",
+                                           tenant="gamma")
+            assert mismatch.status == 400
+            assert "/v1/sweep" in mismatch.json()["error"]
+            assert client.stats()["coalescer"]["memo_hits"] == 1
 
 
 class TestAdmission:

@@ -183,6 +183,17 @@ class TestCoalesceLinking:
         assert roles["follower"].attrs["leader_trace_id"] == "leader-1"
         assert "leader_trace_id" not in roles["leader"].attrs
 
+    def test_memo_hit_emits_a_memo_instant_and_no_execution(self, client):
+        client.run_scenario(PLAIN, endpoint="sweep")
+        client.run_scenario(PLAIN, endpoint="sweep")
+        roots = [node for node in _ring(client).roots
+                 if node.attrs.get("path") == "/v1/sweep"]
+        roles = [next(child.attrs["role"] for child in root.children
+                      if child.name == "serve.coalesce") for root in roots]
+        assert roles == ["leader", "memo"]
+        memo_children = {child.name for child in roots[1].children}
+        assert memo_children == {"serve.admission", "serve.coalesce"}
+
 
 class TestAccessLog:
     def test_structured_lines_finalised_atomically(self, tmp_path):
