@@ -11,10 +11,12 @@ ways and checks the closed-form kernel against the scalar paths:
 Before timing, the bench spot-checks **exact equality**: the vector
 sweep must reproduce :func:`repro.sim.pipeline.run_packet_sweep_reference`
 bit for bit (throughput and latency floats, which derive from exact
-integer per-packet completions) across several packet sizes, and a
-mixed-size train must match the per-Transaction scalar loop packet for
-packet.  Results land in ``BENCH_vector.json`` at the repository root;
-``repro.cli report`` folds the file into the reproduction report.  The
+integer per-packet completions) across several packet sizes, one at a
+time and fused into a single multi-row batch; a mixed-size train and a
+``(rows, packets)`` grid of mixed-size trains must match the
+per-Transaction scalar loop packet for packet.  Results land in
+``BENCH_vector.json`` at the repository root; ``repro.cli report``
+folds the file into the reproduction report.  The
 script exits non-zero when the kernel is < 10x faster than
 ``process_batch`` on the 100k-packet train or any equality check fails.
 
@@ -36,8 +38,10 @@ from repro.sim.pipeline import run_packet_sweep_reference  # noqa: E402
 from repro.sim.vector import (  # noqa: E402
     process_batch_vector,
     run_packet_sweep_vector,
+    run_packet_sweep_vector_batch,
     simulate_train,
     simulate_train_reference,
+    simulate_trains,
 )
 
 APP_NAME = "sec-gateway"
@@ -46,6 +50,7 @@ TRAIN_PACKETS = 100_000
 TRAIN_SIZE_BYTES = 512
 SPOT_SIZES = (64, 256, 1024, 1500)
 SPOT_PACKETS = 2_000
+MIXED_ROWS = 4
 REPEATS = 5
 
 
@@ -58,6 +63,7 @@ def _chain():
 def check_exactness() -> dict:
     """Exact-equality spot checks; raises AssertionError on any mismatch."""
     chain = _chain()
+    references = []
     for size in SPOT_SIZES:
         expected = run_packet_sweep_reference(
             chain, packet_size_bytes=size, packet_count=SPOT_PACKETS)
@@ -65,6 +71,10 @@ def check_exactness() -> dict:
             chain, packet_size_bytes=size, packet_count=SPOT_PACKETS)
         assert actual == expected, (
             f"vector sweep diverged at {size}B: {actual} != {expected}")
+        references.append(expected)
+    fused = run_packet_sweep_vector_batch(chain, SPOT_SIZES, SPOT_PACKETS)
+    assert fused == references, (
+        f"fused sweep batch diverged: {fused} != {references}")
 
     # Mixed-size train: per-packet completions vs the scalar loop.
     import numpy as np
@@ -78,10 +88,27 @@ def check_exactness() -> dict:
     actual_completions = timing.completed_ps.tolist()
     assert actual_completions == expected_completions, (
         "mixed-size train diverged from the scalar loop")
+
+    # Per-packet sizes on a (rows, packets) grid, arriving densely enough
+    # to queue behind stage occupancy: each row vs the scalar loop from a
+    # reset chain.
+    grid_sizes = rng.integers(64, 1500, size=(MIXED_ROWS, 256))
+    grid_arrivals = np.cumsum(
+        rng.integers(0, 4_000, size=(MIXED_ROWS, 256)), axis=1)
+    chain.reset()
+    batch = simulate_trains(chain, grid_arrivals, grid_sizes,
+                            update_state=False)
+    for row in range(MIXED_ROWS):
+        chain.reset()
+        expected_row = simulate_train_reference(
+            chain, grid_arrivals[row].tolist(), grid_sizes[row].tolist())
+        assert batch.completed_ps[row].tolist() == expected_row, (
+            f"per-packet batch row {row} diverged from the scalar loop")
     return {
         "spot_sizes": list(SPOT_SIZES),
         "spot_packets": SPOT_PACKETS,
         "mixed_train_packets": len(sizes),
+        "mixed_batch_rows": MIXED_ROWS,
     }
 
 

@@ -26,10 +26,9 @@ trace's final timestamp so the output always validates.
 """
 
 import json
-import os
-import tempfile
 from typing import Any, Dict, Iterable, List, Tuple, Union
 
+from repro.fileio import atomic_write_text
 from repro.runtime.trace import TraceBus
 
 #: Picoseconds per microsecond (the trace_event unit); conversion uses
@@ -173,20 +172,6 @@ def write_chrome_json(
     """Atomically write the Chrome export; returns the event count."""
     records = source.records if isinstance(source, TraceBus) else source
     events = chrome_trace_events(records)
-    text = json.dumps(events, sort_keys=True, separators=(",", ":")) + "\n"
-    directory = os.path.dirname(os.path.abspath(path))
-    handle = tempfile.NamedTemporaryFile(
-        "w", dir=directory, prefix=os.path.basename(path) + ".",
-        suffix=".tmp", delete=False, encoding="utf-8", newline="\n",
-    )
-    try:
-        with handle:
-            handle.write(text)
-        os.replace(handle.name, path)
-    except BaseException:
-        try:
-            os.unlink(handle.name)
-        except OSError:
-            pass
-        raise
+    atomic_write_text(
+        path, json.dumps(events, sort_keys=True, separators=(",", ":")) + "\n")
     return len(events)

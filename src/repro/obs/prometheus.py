@@ -32,11 +32,10 @@ shape tests pin both properties.  Output is a pure function of the
 registry contents: identical snapshots expose byte-identical text.
 """
 
-import os
 import re
-import tempfile
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.fileio import atomic_write_text
 from repro.runtime.metrics import Gauge, MetricsRegistry
 from repro.sim.stats import Counter, LatencyStats
 
@@ -192,19 +191,5 @@ def to_prometheus_text(registry: MetricsRegistry,
 def write_prometheus_text(registry: MetricsRegistry, path: str) -> int:
     """Atomically write the exposition text; returns the line count."""
     text = to_prometheus_text(registry)
-    directory = os.path.dirname(os.path.abspath(path))
-    handle = tempfile.NamedTemporaryFile(
-        "w", dir=directory, prefix=os.path.basename(path) + ".",
-        suffix=".tmp", delete=False, encoding="utf-8", newline="\n",
-    )
-    try:
-        with handle:
-            handle.write(text)
-        os.replace(handle.name, path)
-    except BaseException:
-        try:
-            os.unlink(handle.name)
-        except OSError:
-            pass
-        raise
+    atomic_write_text(path, text)
     return text.count("\n")

@@ -45,7 +45,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -62,6 +61,7 @@ from repro.adapters.toolchain import (
 from repro.adapters.wrapper import InterfaceWrapper
 from repro.core.tailoring import TailoredShell, tailor_signature
 from repro.errors import ConfigurationError, HarmoniaError
+from repro.fileio import atomic_write_text
 from repro.metrics.resources import ResourceUsage
 from repro.obs.profiler import phase as _profile_phase
 from repro.platform.catalog import resolve_device
@@ -251,23 +251,10 @@ class ArtifactStore:
             with self._lock:
                 self._memory[key] = dict(entry)
             return
-        path = self._path(key)
-        handle = tempfile.NamedTemporaryFile(
-            "w", dir=self.root, prefix=key + ".", suffix=".tmp",
-            delete=False, encoding="utf-8",
+        atomic_write_text(
+            self._path(key),
+            json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n",
         )
-        try:
-            with handle:
-                json.dump(entry, handle, sort_keys=True,
-                          separators=(",", ":"))
-                handle.write("\n")
-            os.replace(handle.name, path)
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
 
 
 # ---------------------------------------------------------------------------

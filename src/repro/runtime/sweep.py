@@ -37,8 +37,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
-import tempfile
 import threading
 from collections import OrderedDict
 from concurrent.futures import Executor, ProcessPoolExecutor
@@ -46,6 +44,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.fileio import atomic_write_text
 from repro.obs.profiler import phase as _profile_phase
 from repro.runtime.context import SimContext, isolated_context_stack
 from repro.sim.vector import ENGINES, chain_supports_vector
@@ -316,23 +315,10 @@ class SweepCache:
         """
         with self._lock:
             snapshot = {key: entry for key, entry in self._entries.items()}
-        directory = os.path.dirname(os.path.abspath(path))
-        handle = tempfile.NamedTemporaryFile(
-            "w", dir=directory, prefix=os.path.basename(path) + ".",
-            suffix=".tmp", delete=False,
+        atomic_write_text(
+            path,
+            json.dumps(snapshot, sort_keys=True, separators=(",", ":")) + "\n",
         )
-        try:
-            with handle:
-                json.dump(snapshot, handle, sort_keys=True,
-                          separators=(",", ":"))
-                handle.write("\n")
-            os.replace(handle.name, path)
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
         return len(snapshot)
 
     def load(self, path: str) -> int:

@@ -41,10 +41,10 @@ ring buffer.
 """
 
 import json
-import os
-import tempfile
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Union
+
+from repro.fileio import atomic_write_text
 
 #: Sentinel for "no explicit timestamp; read the context clock".
 _NOW = None
@@ -300,25 +300,11 @@ class TraceBus:
     def write_jsonl(self, path: str) -> int:
         """Write the JSONL export to ``path``; returns the record count.
 
-        The write is atomic (tempfile + ``os.replace``, like
-        ``SweepCache.save``): an interrupted export leaves the previous
-        file intact, never a truncated half-trace.
+        The write is atomic (:func:`repro.fileio.atomic_write_text`): an
+        interrupted export leaves the previous file intact, never a
+        truncated half-trace.
         """
-        directory = os.path.dirname(os.path.abspath(path))
-        handle = tempfile.NamedTemporaryFile(
-            "w", dir=directory, prefix=os.path.basename(path) + ".",
-            suffix=".tmp", delete=False, encoding="utf-8", newline="\n",
-        )
-        try:
-            with handle:
-                handle.write(self.export_jsonl())
-            os.replace(handle.name, path)
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
+        atomic_write_text(path, self.export_jsonl())
         return len(self._records)
 
     def clear(self) -> None:

@@ -312,12 +312,13 @@ class TestAtomicCacheSave:
         cache.save(str(path))
         before = path.read_text()
 
-        import json as json_module
+        import repro.fileio as fileio
 
         def boom(*_args, **_kwargs):
             raise OSError("disk full")
 
-        monkeypatch.setattr(json_module, "dump", boom)
+        # Fail after the new cache text is already in the temp file.
+        monkeypatch.setattr(fileio.os, "replace", boom)
         with pytest.raises(OSError):
             cache.save(str(path))
         monkeypatch.undo()

@@ -1,11 +1,14 @@
-"""The fused multi-train kernel vs the per-point tiers.
+"""The multi-train kernel vs the scalar oracles.
 
 ``simulate_trains`` / ``run_packet_sweep_vector_batch`` claim **bit
-exactness** against the per-point paths -- same completion integers,
-same result floats, same folded-back stage occupancy and statistics as
-the sequential per-point loop would leave.  These tests pin all of it:
-hand-picked chains for the edges, hypothesis over random chain groups,
-mixed packet-count buckets, and warm carried-in ``_next_free_ps`` state.
+exactness** against the per-Transaction scalar loops -- same completion
+integers, same result floats, same folded-back stage occupancy and
+statistics as the sequential per-row loop would leave.  The single-train
+entry points run this same kernel, so the expected side is always
+``simulate_train_reference`` or ``run_packet_sweep_reference``.  These
+tests pin all of it: hand-picked chains for the edges, hypothesis over
+random chain groups and all three size shapes, mixed packet-count
+buckets, and warm carried-in ``_next_free_ps`` state.
 """
 
 import numpy as np
@@ -21,9 +24,8 @@ from repro.sim.pipeline import (
 )
 from repro.sim.vector import (
     BatchTrainTiming,
-    run_packet_sweep_vector,
     run_packet_sweep_vector_batch,
-    simulate_train,
+    simulate_train_reference,
     simulate_trains,
 )
 
@@ -66,8 +68,42 @@ def train_batches(draw, max_rows: int = 5, max_packets: int = 32):
     sizes = draw(st.one_of(
         st.integers(1, 4_096),
         st.lists(st.integers(1, 4_096), min_size=rows, max_size=rows),
+        st.lists(st.lists(st.integers(1, 4_096), min_size=count,
+                          max_size=count),
+                 min_size=rows, max_size=rows),
     ))
     return np.stack(grids), sizes
+
+
+def packet_sizes(sizes, rows, count):
+    """Per-row lists of per-packet sizes for any of the three shapes."""
+    if isinstance(sizes, int):
+        return [[sizes] * count] * rows
+    return [row if isinstance(row, list) else [row] * count
+            for row in sizes]
+
+
+def kernel_sizes(sizes):
+    """The drawn sizes as the kernel takes them (int or int64 array)."""
+    return sizes if isinstance(sizes, int) else np.asarray(sizes,
+                                                           dtype=np.int64)
+
+
+def reference_rows(chain, arrivals, sizes):
+    """Replay each row through the scalar oracle from the same start.
+
+    Restores every stage's starting occupancy between rows, so the chain
+    ends up as the batch's fold-back must leave it.
+    """
+    rows, count = arrivals.shape
+    initial = [stage._next_free_ps for stage in chain.stages]
+    expected = []
+    for row, row_sizes in enumerate(packet_sizes(sizes, rows, count)):
+        for stage, free in zip(chain.stages, initial):
+            stage._next_free_ps = free
+        expected.append(simulate_train_reference(
+            chain, arrivals[row].tolist(), row_sizes))
+    return expected
 
 
 def simple_chain():
@@ -83,25 +119,15 @@ class TestSimulateTrains:
     @settings(max_examples=50, deadline=None)
     @given(chain=chains(), batch=train_batches())
     def test_rows_match_per_train_oracle(self, chain, batch):
-        """Each row == simulate_train from the same starting occupancy,
-        and the fold-back == the sequential restore-and-replay loop."""
+        """Each row == the scalar oracle from the same starting
+        occupancy, and the fold-back == the restore-and-replay loop."""
         arrivals, sizes = batch
-        rows = arrivals.shape[0]
-        row_sizes = ([sizes] * rows if isinstance(sizes, int) else list(sizes))
         chain.reset()
-        initial = [stage._next_free_ps for stage in chain.stages]
-        expected_rows = []
-        for row in range(rows):
-            for stage, free in zip(chain.stages, initial):
-                stage._next_free_ps = free
-            timing = simulate_train(chain, arrivals[row], row_sizes[row])
-            expected_rows.append(timing.completed_ps.tolist())
+        expected_rows = reference_rows(chain, arrivals, sizes)
         expected_state = stage_state(chain)
 
         chain.reset()
-        vector_sizes = (sizes if isinstance(sizes, int)
-                        else np.asarray(sizes, dtype=np.int64))
-        timing = simulate_trains(chain, arrivals, vector_sizes)
+        timing = simulate_trains(chain, arrivals, kernel_sizes(sizes))
         assert timing.completed_ps.tolist() == expected_rows
         assert stage_state(chain) == expected_state
 
@@ -111,28 +137,17 @@ class TestSimulateTrains:
     def test_warm_carried_in_state(self, chain, batch, warm):
         """Rows starting from warm ``_next_free_ps`` fold exactly."""
         arrivals, sizes = batch
-        rows = arrivals.shape[0]
-        row_sizes = ([sizes] * rows if isinstance(sizes, int) else list(sizes))
         warm_train = np.cumsum(
-            np.asarray(warm, dtype=np.int64))  # heats the chain up
+            np.asarray(warm, dtype=np.int64)).tolist()  # heats the chain up
 
         chain.reset()
-        simulate_train(chain, warm_train, 512)
-        initial = [stage._next_free_ps for stage in chain.stages]
-        expected_rows = []
-        for row in range(rows):
-            for stage, free in zip(chain.stages, initial):
-                stage._next_free_ps = free
-            expected_rows.append(
-                simulate_train(chain, arrivals[row],
-                               row_sizes[row]).completed_ps.tolist())
+        simulate_train_reference(chain, warm_train, [512] * len(warm_train))
+        expected_rows = reference_rows(chain, arrivals, sizes)
         expected_state = stage_state(chain)
 
         chain.reset()
-        simulate_train(chain, warm_train, 512)
-        vector_sizes = (sizes if isinstance(sizes, int)
-                        else np.asarray(sizes, dtype=np.int64))
-        timing = simulate_trains(chain, arrivals, vector_sizes)
+        simulate_train_reference(chain, warm_train, [512] * len(warm_train))
+        timing = simulate_trains(chain, arrivals, kernel_sizes(sizes))
         assert timing.completed_ps.tolist() == expected_rows
         assert stage_state(chain) == expected_state
 
@@ -154,10 +169,13 @@ class TestSimulateTrains:
         assert len(batch) == 2
         for row, size in enumerate((64, 1_500)):
             chain.reset()
-            single = simulate_train(chain, arrivals[row], size)
+            expected = simulate_train_reference(
+                chain, arrivals[row].tolist(), [size] * 3)
             view = batch.row(row)
-            assert view.completed_ps.tolist() == single.completed_ps.tolist()
-            assert view.latencies_ps.tolist() == single.latencies_ps.tolist()
+            assert view.completed_ps.tolist() == expected
+            assert view.latencies_ps.tolist() == [
+                done - arrival
+                for done, arrival in zip(expected, arrivals[row].tolist())]
 
     def test_shape_validation(self):
         chain = simple_chain()
@@ -171,6 +189,9 @@ class TestSimulateTrains:
         with pytest.raises(ConfigurationError):
             simulate_trains(chain, np.zeros((2, 3), dtype=np.int64),
                             np.asarray([64], dtype=np.int64))
+        with pytest.raises(ConfigurationError):
+            simulate_trains(chain, np.zeros((2, 3), dtype=np.int64),
+                            np.full((2, 4), 64, dtype=np.int64))
 
 
 class TestSweepBatch:
@@ -179,16 +200,13 @@ class TestSweepBatch:
            sizes=st.lists(st.integers(1, 2_048), min_size=1, max_size=6),
            count=st.integers(1, 300))
     def test_batch_equals_sequential_per_point(self, chain, sizes, count):
-        """Fused == per-point vector == DES: floats and folded state."""
-        expected = [run_packet_sweep_vector(chain, size, count)
+        """Fused == the scalar per-point loop: floats and folded state."""
+        expected = [run_packet_sweep_reference(chain, size, count)
                     for size in sizes]
         expected_state = stage_state(chain)
-        scalar = [run_packet_sweep_reference(chain, size, count)
-                  for size in sizes]
 
         batched = run_packet_sweep_vector_batch(chain, sizes, count)
         assert batched == expected          # bit-exact floats
-        assert batched == scalar            # and equal to scalar DES
         assert stage_state(chain) == expected_state
 
     @settings(max_examples=15, deadline=None)
@@ -201,7 +219,7 @@ class TestSweepBatch:
         expected = []
         for count in counts:
             for size in sizes:
-                expected.append(run_packet_sweep_vector(chain, size, count))
+                expected.append(run_packet_sweep_reference(chain, size, count))
         expected_state = stage_state(chain)
         batched = []
         for count in counts:
@@ -226,9 +244,10 @@ class TestSweepBatch:
         chain = simple_chain()
         loads = [chain.bandwidth_bps(64) * 0.5, chain.bandwidth_bps(256) * 0.9]
         expected = [
-            run_packet_sweep_vector(chain, 64, 200, offered_load_bps=loads[0]),
-            run_packet_sweep_vector(chain, 256, 200,
-                                    offered_load_bps=loads[1]),
+            run_packet_sweep_reference(chain, 64, 200,
+                                       offered_load_bps=loads[0]),
+            run_packet_sweep_reference(chain, 256, 200,
+                                       offered_load_bps=loads[1]),
         ]
         assert run_packet_sweep_vector_batch(
             chain, [64, 256], 200, offered_loads_bps=loads) == expected
@@ -236,6 +255,6 @@ class TestSweepBatch:
     def test_single_packet_trains(self):
         """packet_count=1 exercises the degenerate duration window."""
         chain = simple_chain()
-        expected = [run_packet_sweep_vector(chain, size, 1)
+        expected = [run_packet_sweep_reference(chain, size, 1)
                     for size in (64, 1_024)]
         assert run_packet_sweep_vector_batch(chain, [64, 1_024], 1) == expected

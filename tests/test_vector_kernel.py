@@ -221,6 +221,17 @@ class TestTrainValidation:
                            np.asarray([0, 10], dtype=np.int64),
                            np.asarray([64], dtype=np.int64))
 
+    @pytest.mark.parametrize("update_state", [True, False])
+    def test_grid_arrivals_rejected(self, update_state):
+        """A 2-D grid is a batch, not a train: simulate_trains' job."""
+        grid = np.arange(9, dtype=np.int64).reshape(3, 3)
+        with pytest.raises(ConfigurationError):
+            simulate_train(self._chain(), grid, 64, update_state=update_state)
+
+    def test_scalar_arrivals_rejected(self):
+        with pytest.raises(ConfigurationError):
+            simulate_train(self._chain(), np.asarray(0, dtype=np.int64), 64)
+
     def test_zero_count_batch_is_noop(self):
         chain = self._chain()
         assert process_batch_vector(chain, 64, 100.0, 0, 0) == (0, 0, 0)
