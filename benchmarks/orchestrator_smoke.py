@@ -33,8 +33,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.runtime.context import SimContext  # noqa: E402
 from repro.runtime.fleet import FleetSpec  # noqa: E402
-from repro.runtime.orchestrator import (  # noqa: E402
-    OrchestratorSpec, run_orchestrator)
+from repro.runtime.orchestrator import run_orchestrator  # noqa: E402
+from repro.scenario import EpochsSpec  # noqa: E402
 
 FLOWS = 1_000_000
 DEVICES = 1_000
@@ -50,7 +50,7 @@ SPEEDUP_FLOOR = 5.0
 def _specs():
     fleet = FleetSpec(flow_count=FLOWS, device_count=DEVICES,
                       tenant_count=TENANTS)
-    spec = OrchestratorSpec(epochs=EPOCHS, churn=CHURN)
+    spec = EpochsSpec(epochs=EPOCHS, churn=CHURN)
     return fleet, spec
 
 

@@ -168,7 +168,7 @@ class CloudApplication:
     def measure(
         self,
         device: FpgaDevice,
-        packet_sizes: Tuple[int, ...] = (64, 128, 256, 512, 1024),
+        packet_sizes: Optional[Tuple[int, ...]] = None,
         packets_per_point: int = 2_000,
         with_harmonia: bool = True,
         include_path_latency: bool = True,
@@ -182,8 +182,13 @@ class CloudApplication:
         trace bus (per-stage spans through link -> RBB -> wrapper/CDC ->
         role) and the per-point results in its metrics registry under
         ``app.<name>``.  With no context the sweep is untraced and
-        byte-for-byte the old behaviour.
+        byte-for-byte the old behaviour.  ``packet_sizes`` defaults to
+        the paper sweep, :data:`repro.scenario.DEFAULT_PACKET_SIZES`.
         """
+        if packet_sizes is None:
+            from repro.scenario.spec import DEFAULT_PACKET_SIZES
+
+            packet_sizes = DEFAULT_PACKET_SIZES
         ctx = context if context is not None else current_context()
         if ctx is not None and current_context() is not ctx:
             with ctx:

@@ -41,6 +41,7 @@ run produce byte-identical results, traces, and manifests (see
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -52,6 +53,7 @@ from repro.core.health import HealthMonitor
 from repro.core.host_software import ControlPlane
 from repro.core.shell import build_unified_shell
 from repro.errors import ConfigurationError, HarmoniaError
+from repro.fileio import atomic_write_text
 from repro.metrics.modifications import reduction_factor, trace_modifications
 from repro.metrics.resources import utilisation_percent
 from repro.platform.catalog import all_devices
@@ -91,6 +93,22 @@ def _reject_scenario_conflicts(flags) -> None:
             "--scenario already describes the run; drop the conflicting "
             "flag(s): " + ", ".join(given)
         )
+
+
+def _overlay(section, **flags):
+    """``section`` with the flags the user gave (``None`` = not given).
+
+    The scenario sections own every default; a flag invocation starts
+    from them and replaces only what was named on the command line.
+    """
+    return dataclasses.replace(section, **{
+        name: value for name, value in flags.items() if value is not None})
+
+
+def _write_json(path: str, payload) -> None:
+    """Write ``payload`` as indented, key-sorted JSON, atomically."""
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True)
+                      + "\n")
 
 
 def cmd_devices(_args: argparse.Namespace) -> int:
@@ -197,9 +215,9 @@ def _traced_sweep(args: argparse.Namespace):
     device = device_by_name(args.device)
     app = application_by_name(args.app)
     context = SimContext(name=f"{app.name}@{device.name}", trace=True)
-    sizes = tuple(args.sizes) if args.sizes else (64, 128, 256, 512, 1024)
     samples = app.measure(
-        device, packet_sizes=sizes, packets_per_point=args.packets,
+        device, packet_sizes=tuple(args.sizes) if args.sizes else None,
+        packets_per_point=args.packets,
         with_harmonia=not args.native, context=context,
     )
     return context, app, device, samples
@@ -225,8 +243,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     else:
         payload = context.trace.export_jsonl()
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(payload)
+        atomic_write_text(args.out, payload)
         print(f"wrote {len(context.trace)} trace records to {args.out}")
     else:
         print(payload, end="")
@@ -271,9 +288,7 @@ def cmd_trace_analyze(args: argparse.Namespace) -> int:
               f"({len(analysis)} spans, {len(analysis.roots)} roots)",
     ))
     if args.json:
-        with open(args.json, "w", encoding="utf-8", newline="\n") as handle:
-            json.dump(analysis.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.json, analysis.to_json())
         print(f"# wrote analysis to {args.json}", file=sys.stderr)
     return 0
 
@@ -299,10 +314,7 @@ def cmd_trace_diff(args: argparse.Namespace) -> int:
               f"({len(before)} -> {len(after)} spans)",
     ))
     if args.json:
-        with open(args.json, "w", encoding="utf-8", newline="\n") as handle:
-            json.dump(diff_traces(before, after), handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
+        _write_json(args.json, diff_traces(before, after))
         print(f"# wrote diff to {args.json}", file=sys.stderr)
     return 0
 
@@ -362,28 +374,21 @@ def _sweep_scenario(args):
         ])
         scenario = _load_scenario_arg(args.scenario, "sweep")
         if args.trace_out and not scenario.workload.trace:
-            import dataclasses
-
             scenario = scenario.replace(workload=dataclasses.replace(
                 scenario.workload, trace=True))
         return scenario
     if not args.apps or not args.devices:
         raise ConfigurationError(
             "sweep needs --apps and --devices (or --scenario FILE)")
-    scenario = Scenario(
-        kind="sweep",
-        apps=tuple(args.apps),
-        devices=tuple(args.devices),
-        engine=args.engine if args.engine is not None else "auto",
-        workload=WorkloadSpec(
-            packet_sizes=(tuple(args.sizes) if args.sizes
-                          else (64, 128, 256, 512, 1024)),
-            packets_per_point=(args.packets if args.packets is not None
-                               else 2_000),
-            with_harmonia=not args.native,
-            trace=bool(args.trace_out),
-        ),
-    )
+    workload = _overlay(
+        WorkloadSpec(with_harmonia=not args.native,
+                     trace=bool(args.trace_out)),
+        packet_sizes=tuple(args.sizes) if args.sizes else None,
+        packets_per_point=args.packets)
+    scenario = _overlay(
+        Scenario(kind="sweep", apps=tuple(args.apps),
+                 devices=tuple(args.devices), workload=workload),
+        engine=args.engine)
     return scenario.validate_names()   # fail fast on unknown names
 
 
@@ -419,14 +424,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.cache_file:
         cache.save(args.cache_file)
     if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8",
-                  newline="\n") as handle:
-            handle.write(result.merged_trace_jsonl())
+        atomic_write_text(args.trace_out, result.merged_trace_jsonl())
         print(f"# wrote merged trace to {args.trace_out}", file=sys.stderr)
     if args.json:
-        with open(args.json, "w", encoding="utf-8", newline="\n") as handle:
-            json.dump(result.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.json, result.to_json())
         print(f"# wrote point results to {args.json}", file=sys.stderr)
     if outcome.slo is not None:
         print(outcome.slo.format())
@@ -443,13 +444,11 @@ def _build_scenario(args):
             ("--year", args.year), ("--effort", args.effort),
         ])
         return _load_scenario_arg(args.scenario, "build")
-    scenario = Scenario(
-        kind="build",
-        apps=tuple(args.apps) if args.apps else (),
-        devices=tuple(args.devices) if args.devices else (),
-        year=args.year if args.year is not None else 2_024,
-        build=BuildSpec(effort=args.effort if args.effort is not None else 0),
-    )
+    scenario = _overlay(
+        Scenario(kind="build", apps=tuple(args.apps or ()),
+                 devices=tuple(args.devices or ()),
+                 build=_overlay(BuildSpec(), effort=args.effort)),
+        year=args.year)
     return scenario.validate_names()   # fail fast on unknown names
 
 
@@ -480,16 +479,12 @@ def cmd_build(args: argparse.Namespace) -> int:
     print(f"# {elapsed:.3f}s wall, {store.hits} store hits, "
           f"{report.tailor_memo_hits} tailor-memo hits", file=sys.stderr)
     if args.manifests_out:
-        with open(args.manifests_out, "w", encoding="utf-8",
-                  newline="\n") as handle:
-            handle.write(report.manifests_jsonl())
+        atomic_write_text(args.manifests_out, report.manifests_jsonl())
         print(f"# wrote manifests to {args.manifests_out}", file=sys.stderr)
     if args.json:
         payload = report.to_json()
         payload["elapsed_s"] = round(elapsed, 3)
-        with open(args.json, "w", encoding="utf-8", newline="\n") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.json, payload)
         print(f"# wrote build report to {args.json}", file=sys.stderr)
     if args.trace_out:
         if args.trace_format == "chrome":
@@ -498,9 +493,7 @@ def cmd_build(args: argparse.Namespace) -> int:
             payload_text = export_chrome_json(context.trace)
         else:
             payload_text = context.trace.export_jsonl()
-        with open(args.trace_out, "w", encoding="utf-8",
-                  newline="\n") as handle:
-            handle.write(payload_text)
+        atomic_write_text(args.trace_out, payload_text)
         print(f"# wrote build trace to {args.trace_out}", file=sys.stderr)
     if outcome.slo is not None:
         print(outcome.slo.format())
@@ -554,27 +547,14 @@ def _fleet_scenario(args):
     if args.churn is not None and args.epochs is None:
         raise ConfigurationError(
             "--churn only applies to epoch runs; add --epochs N")
-
-    def _or(value, default):
-        return value if value is not None else default
-
-    epochs = None
-    if args.epochs is not None:
-        epochs = EpochsSpec(epochs=args.epochs,
-                            churn=_or(args.churn, 0.01))
-    return Scenario(
-        kind="fleet",
-        seed=_or(args.seed, 2_025),
-        tenancy=TenancySpec(
-            flow_count=_or(args.flows, 1_000_000),
-            device_count=_or(args.devices, 1_024),
-            tenant_count=_or(args.tenants, 16),
-            slots_per_device=_or(args.slots, 4),
-            alpha=_or(args.alpha, 1.05),
-            offered_load=_or(args.load, 0.65),
-        ),
-        epochs=epochs,
-    )
+    tenancy = _overlay(
+        TenancySpec(), flow_count=args.flows, device_count=args.devices,
+        tenant_count=args.tenants, slots_per_device=args.slots,
+        alpha=args.alpha, offered_load=args.load)
+    epochs = (_overlay(EpochsSpec(), epochs=args.epochs, churn=args.churn)
+              if args.epochs is not None else None)
+    return _overlay(Scenario(kind="fleet", tenancy=tenancy, epochs=epochs),
+                    seed=args.seed)
 
 
 def _report_fleet_epochs(args: argparse.Namespace, outcome) -> int:
@@ -630,9 +610,7 @@ def _report_fleet_epochs(args: argparse.Namespace, outcome) -> int:
         payload["elapsed_s"] = round(outcome.elapsed_s, 3)
         if outcome.slo is not None:
             payload["slo"] = outcome.slo.to_json()
-        with open(args.json, "w", encoding="utf-8", newline="\n") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.json, payload)
         print(f"# wrote orchestrator results to {args.json}",
               file=sys.stderr)
     return outcome.exit_code
@@ -642,6 +620,9 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     from repro.service import run_fleet_service
 
     scenario = _fleet_scenario(args)
+    if args.trace_ring < 0:
+        raise ConfigurationError(
+            f"--trace-ring must be >= 0, got {args.trace_ring}")
     # The service layer runs the simulation, streams the trace through
     # the flight recorder when asked, and evaluates SLOs while the
     # recorder is still attached -- identical semantics over HTTP.
@@ -695,9 +676,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         payload["elapsed_s"] = round(elapsed, 3)
         if slo_report is not None:
             payload["slo"] = slo_report.to_json()
-        with open(args.json, "w", encoding="utf-8", newline="\n") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.json, payload)
         print(f"# wrote fleet results to {args.json}", file=sys.stderr)
     return outcome.exit_code
 
@@ -727,9 +706,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     if args.json:
         payload = report.to_json()
         payload["elapsed_s"] = round(elapsed, 3)
-        with open(args.json, "w", encoding="utf-8", newline="\n") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.json, payload)
         print(f"# wrote fuzz report to {args.json}", file=sys.stderr)
     return 5 if report.failures else 0
 
@@ -1033,7 +1010,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (HarmoniaError, KeyError) as error:
+    except (HarmoniaError, KeyError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 

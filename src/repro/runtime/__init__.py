@@ -11,20 +11,14 @@ the pre-runtime behaviour).
 See ``docs/architecture.md`` ("Runtime & observability") for the tour.
 """
 
+import importlib
+
 from repro.runtime.context import (
     ClockRegistry,
     SimContext,
     current_context,
     ensure_context,
     isolated_context_stack,
-)
-from repro.runtime.fleet import (
-    FleetResult,
-    FleetSimulation,
-    FleetSpec,
-    PolicyResult,
-    TenantStats,
-    run_fleet,
 )
 from repro.runtime.metrics import (
     CounterDictView,
@@ -33,58 +27,35 @@ from repro.runtime.metrics import (
     MetricsNamespace,
     MetricsRegistry,
 )
-from repro.runtime.sweep import (
-    PointResult,
-    SweepCache,
-    SweepPlan,
-    SweepPoint,
-    SweepResult,
-    SweepRunner,
-    chain_signature,
-    run_plan,
-    sweep_cache_key,
-)
 from repro.runtime.trace import Span, TraceBus
 
-# The build farm reaches back into ``core``/``adapters``, which
-# themselves import the runtime primitives above -- importing it eagerly
-# here would close an import cycle before SimContext exists.  Its names
-# resolve lazily on first attribute access instead (PEP 562).
-_BUILDFARM_EXPORTS = frozenset({
-    "ArtifactStore",
-    "BuildFarm",
-    "BuildPlan",
-    "BuildReport",
-    "BuildTarget",
-    "TargetResult",
-    "fleet_build_plan",
-    "run_build_plan",
-})
-
-# The orchestrator pulls in ``obs.slo`` (its autoscaling feedback
-# signal), which sits above the runtime primitives -- same lazy
-# treatment as the build farm.
-_ORCHESTRATOR_EXPORTS = frozenset({
-    "DeltaMismatch",
-    "EpochStats",
-    "FleetState",
-    "Orchestrator",
-    "OrchestratorResult",
-    "OrchestratorSpec",
-    "run_orchestrator",
-})
+# The tiers resolve lazily on first attribute access (PEP 562).  They
+# sit above the primitives imported here: the fleet and sweep tiers
+# read their specs from ``repro.scenario``, the build farm reaches back
+# into ``core``/``adapters`` (which import the primitives above), and
+# the orchestrator pulls in ``obs.slo`` for its autoscaling signal.
+_LAZY_EXPORTS = {
+    **dict.fromkeys(("FleetResult", "FleetSimulation", "FleetSpec",
+                     "PolicyResult", "TenantStats", "run_fleet"), "fleet"),
+    **dict.fromkeys(("PointResult", "SweepCache", "SweepPlan",
+                     "SweepPoint", "SweepResult", "SweepRunner",
+                     "chain_signature", "run_plan", "sweep_cache_key"),
+                    "sweep"),
+    **dict.fromkeys(("ArtifactStore", "BuildFarm", "BuildPlan",
+                     "BuildReport", "BuildTarget", "TargetResult",
+                     "fleet_build_plan", "run_build_plan"), "buildfarm"),
+    **dict.fromkeys(("DeltaMismatch", "EpochStats", "FleetState",
+                     "Orchestrator", "OrchestratorResult",
+                     "run_orchestrator"), "orchestrator"),
+}
 
 
 def __getattr__(name: str):
-    if name in _BUILDFARM_EXPORTS:
-        from repro.runtime import buildfarm
-
-        return getattr(buildfarm, name)
-    if name in _ORCHESTRATOR_EXPORTS:
-        from repro.runtime import orchestrator
-
-        return getattr(orchestrator, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
 
 
 __all__ = [
@@ -104,7 +75,6 @@ __all__ = [
     "Gauge",
     "Orchestrator",
     "OrchestratorResult",
-    "OrchestratorSpec",
     "GaugeDictView",
     "MetricsNamespace",
     "MetricsRegistry",

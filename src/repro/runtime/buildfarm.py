@@ -67,6 +67,7 @@ from repro.obs.profiler import phase as _profile_phase
 from repro.platform.catalog import resolve_device
 from repro.platform.fleet import production_fleet
 from repro.runtime.context import SimContext
+from repro.scenario.spec import DEFAULT_BUILD_SOFTWARE as DEFAULT_SOFTWARE
 
 #: Content-key schema; bump to invalidate every stored artifact.
 BUILD_SCHEMA = 1
@@ -74,9 +75,6 @@ BUILD_SCHEMA = 1
 #: The per-target step chain, in DAG order.
 FARM_STEP_NAMES: Tuple[str, ...] = (
     "tailor", "wrap", "inspect", "configure", "fit", "package")
-
-#: Host-software components packaged into every bundle.
-DEFAULT_SOFTWARE: Tuple[str, ...] = ("driver", "runtime-lib", "health-agent")
 
 #: Picoseconds per second (trace timestamps are integer picoseconds).
 _PS_PER_S = 1_000_000_000_000

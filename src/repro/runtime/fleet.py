@@ -59,6 +59,7 @@ from repro.obs.profiler import phase as _profile_phase
 from repro.platform.catalog import device_by_name
 from repro.platform.fleet import FleetHistory, production_fleet
 from repro.runtime.context import SimContext, ensure_context
+from repro.scenario.spec import TenancySpec
 from repro.workloads.flows import flow_hashes32, zipf_weights_array
 
 #: Load-balancing policies the simulator understands.
@@ -77,34 +78,16 @@ FALLBACK_GBPS = 25.0
 
 
 @dataclass(frozen=True)
-class FleetSpec:
-    """Size and shape of one fleet serving scenario."""
+class FleetSpec(TenancySpec):
+    """Size and shape of one fleet serving scenario.
 
-    flow_count: int = 1_000_000
-    device_count: int = 1_024
-    tenant_count: int = 16
-    slots_per_device: int = 4
-    alpha: float = 1.05
-    offered_load: float = 0.65
-    mean_packet_bytes: int = 512
+    The scenario's tenancy section (whose fields, defaults and checks
+    this inherits) plus the ``seed`` and ``year`` a scenario keeps at
+    its top level.
+    """
+
     seed: int = 2_025
     year: int = 2_024
-
-    def __post_init__(self) -> None:
-        if self.flow_count < 1:
-            raise ConfigurationError("need at least one flow")
-        if self.device_count < 1:
-            raise ConfigurationError("need at least one device instance")
-        if self.tenant_count < 1:
-            raise ConfigurationError("need at least one tenant")
-        if self.slots_per_device < 1:
-            raise ConfigurationError("need at least one PR slot per device")
-        if self.alpha <= 0:
-            raise ConfigurationError("Zipf alpha must be positive")
-        if not 0.0 < self.offered_load:
-            raise ConfigurationError("offered load must be positive")
-        if self.mean_packet_bytes < 1:
-            raise ConfigurationError("mean packet size must be positive")
 
     @classmethod
     def from_scenario(cls, scenario) -> "FleetSpec":
@@ -113,18 +96,11 @@ class FleetSpec:
         if scenario.kind != "fleet":
             raise ConfigurationError(
                 f"scenario kind {scenario.kind!r} cannot drive a fleet spec")
-        tenancy = scenario.tenancy
-        return cls(
-            flow_count=tenancy.flow_count,
-            device_count=tenancy.device_count,
-            tenant_count=tenancy.tenant_count,
-            slots_per_device=tenancy.slots_per_device,
-            alpha=tenancy.alpha,
-            offered_load=tenancy.offered_load,
-            mean_packet_bytes=tenancy.mean_packet_bytes,
-            seed=scenario.seed,
-            year=scenario.year,
-        )
+        return cls(**scenario.tenancy.to_json(), seed=scenario.seed,
+                   year=scenario.year)
+
+    def to_json(self) -> Dict[str, object]:
+        return {**super().to_json(), "seed": self.seed, "year": self.year}
 
 
 @dataclass(frozen=True)
@@ -218,17 +194,7 @@ class FleetResult:
 
     def to_json(self) -> Dict[str, object]:
         return {
-            "spec": {
-                "flow_count": self.spec.flow_count,
-                "device_count": self.spec.device_count,
-                "tenant_count": self.spec.tenant_count,
-                "slots_per_device": self.spec.slots_per_device,
-                "alpha": self.spec.alpha,
-                "offered_load": self.spec.offered_load,
-                "mean_packet_bytes": self.spec.mean_packet_bytes,
-                "seed": self.spec.seed,
-                "year": self.spec.year,
-            },
+            "spec": self.spec.to_json(),
             "total_capacity_gbps": round(self.total_capacity_gbps, 3),
             "offered_gbps": round(self.offered_gbps, 3),
             "effective_offered_gbps": round(self.effective_offered_gbps, 3),

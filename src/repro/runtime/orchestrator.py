@@ -71,12 +71,12 @@ from repro.obs.slo import SloMonitor, default_epoch_slos
 from repro.platform.fleet import FleetHistory
 from repro.runtime.context import SimContext, ensure_context
 from repro.runtime.fleet import (
-    POLICIES,
     FleetSimulation,
     FleetSpec,
     TenantStats,
     device_latency_tables,
 )
+from repro.scenario.spec import EpochsSpec
 from repro.workloads.flows import ChurnStream
 
 #: Integer rate quantum: 1 unit = 1 kbps, so 1 Gbps = 1e6 units.  All
@@ -107,93 +107,6 @@ class DeltaMismatch(Exception):
             f"full-recompute oracle")
         self.epoch = epoch
         self.what = what
-
-
-@dataclass(frozen=True)
-class OrchestratorSpec:
-    """Knobs of one epoch-stepped orchestration run.
-
-    ``churn`` is the per-epoch arrival *and* departure fraction of the
-    initial flow population, so the population stays near its initial
-    size while individual flows turn over.  ``failure_every`` /
-    ``drain_every`` fire a device failure / graceful drain every N
-    epochs (0 disables).  ``pr_budget`` caps partial-reconfiguration
-    grants per epoch fleet-wide (0 = unlimited); deferred grants rank
-    by tenant load, heaviest first.  The autoscaler holds a spare pool
-    of ``spare_fraction`` x device_count parked instances and moves
-    ``scale_step`` devices per decision.
-    """
-
-    epochs: int = 288
-    epoch_seconds: int = 300
-    churn: float = 0.01
-    failure_every: int = 48
-    drain_every: int = 96
-    migrate_threshold: float = 1.2
-    autoscale: bool = True
-    spare_fraction: float = 0.25
-    scale_step: int = 4
-    pr_budget: int = 64
-    policy: str = "flow-hash"
-
-    def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ConfigurationError("need at least one epoch")
-        if self.epoch_seconds < 1:
-            raise ConfigurationError("epoch length must be positive")
-        if not 0.0 <= self.churn <= 0.5:
-            raise ConfigurationError("churn must be within [0, 0.5]")
-        if self.failure_every < 0 or self.drain_every < 0:
-            raise ConfigurationError(
-                "failure/drain cadence must be non-negative (0 disables)")
-        if self.migrate_threshold <= 0:
-            raise ConfigurationError("migrate threshold must be positive")
-        if not 0.0 <= self.spare_fraction <= 4.0:
-            raise ConfigurationError("spare fraction must be within [0, 4]")
-        if self.scale_step < 1:
-            raise ConfigurationError("scale step must be positive")
-        if self.pr_budget < 0:
-            raise ConfigurationError("PR budget must be non-negative")
-        if self.policy not in POLICIES:
-            raise ConfigurationError(
-                f"unknown policy {self.policy!r}; "
-                f"choose from {', '.join(POLICIES)}")
-
-    @classmethod
-    def from_scenario(cls, scenario) -> "OrchestratorSpec":
-        """Read the ``epochs`` section of a fleet scenario."""
-        section = getattr(scenario, "epochs", None)
-        if section is None:
-            raise ConfigurationError(
-                "scenario has no epochs section to orchestrate")
-        return cls(
-            epochs=section.epochs,
-            epoch_seconds=section.epoch_seconds,
-            churn=section.churn,
-            failure_every=section.failure_every,
-            drain_every=section.drain_every,
-            migrate_threshold=section.migrate_threshold,
-            autoscale=section.autoscale,
-            spare_fraction=section.spare_fraction,
-            scale_step=section.scale_step,
-            pr_budget=section.pr_budget,
-            policy=section.policy,
-        )
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "epochs": self.epochs,
-            "epoch_seconds": self.epoch_seconds,
-            "churn": self.churn,
-            "failure_every": self.failure_every,
-            "drain_every": self.drain_every,
-            "migrate_threshold": self.migrate_threshold,
-            "autoscale": self.autoscale,
-            "spare_fraction": self.spare_fraction,
-            "scale_step": self.scale_step,
-            "pr_budget": self.pr_budget,
-            "policy": self.policy,
-        }
 
 
 @dataclass(frozen=True)
@@ -258,7 +171,7 @@ class OrchestratorResult:
     """
 
     fleet_spec: FleetSpec
-    spec: OrchestratorSpec
+    spec: EpochsSpec
     mode: str
     epochs: Tuple[EpochStats, ...]
     tenants: Tuple[TenantStats, ...]
@@ -275,17 +188,7 @@ class OrchestratorResult:
         final = self.final
         return {
             "spec": {
-                "fleet": {
-                    "flow_count": self.fleet_spec.flow_count,
-                    "device_count": self.fleet_spec.device_count,
-                    "tenant_count": self.fleet_spec.tenant_count,
-                    "slots_per_device": self.fleet_spec.slots_per_device,
-                    "alpha": self.fleet_spec.alpha,
-                    "offered_load": self.fleet_spec.offered_load,
-                    "mean_packet_bytes": self.fleet_spec.mean_packet_bytes,
-                    "seed": self.fleet_spec.seed,
-                    "year": self.fleet_spec.year,
-                },
+                "fleet": self.fleet_spec.to_json(),
                 "epochs": self.spec.to_json(),
             },
             "totals": {
@@ -372,7 +275,7 @@ class FleetState:
     ``verify`` modes use.
     """
 
-    def __init__(self, fleet_spec: FleetSpec, spec: OrchestratorSpec,
+    def __init__(self, fleet_spec: FleetSpec, spec: EpochsSpec,
                  history: Optional[FleetHistory] = None,
                  context: Optional[SimContext] = None) -> None:
         if _np is None:
@@ -717,7 +620,7 @@ class Orchestrator:
     """Advances a :class:`FleetState` through N epochs of churn."""
 
     def __init__(self, fleet_spec: Optional[FleetSpec] = None,
-                 spec: Optional[OrchestratorSpec] = None,
+                 spec: Optional[EpochsSpec] = None,
                  mode: str = "incremental",
                  history: Optional[FleetHistory] = None,
                  monitor: Optional[SloMonitor] = None,
@@ -727,7 +630,7 @@ class Orchestrator:
                 f"unknown orchestrator mode {mode!r}; "
                 f"choose from {', '.join(MODES)}")
         self.fleet_spec = fleet_spec or FleetSpec()
-        self.spec = spec or OrchestratorSpec()
+        self.spec = spec or EpochsSpec()
         self.mode = mode
         self.context = ensure_context(context)
         self.monitor = monitor or SloMonitor(default_epoch_slos())
@@ -739,11 +642,13 @@ class Orchestrator:
     def from_scenario(cls, scenario, mode: str = "incremental",
                       monitor: Optional[SloMonitor] = None,
                       context: Optional[SimContext] = None) -> "Orchestrator":
-        return cls(
-            fleet_spec=FleetSpec.from_scenario(scenario),
-            spec=OrchestratorSpec.from_scenario(scenario),
-            mode=mode, monitor=monitor, context=context,
-        )
+        """Run a fleet scenario's tenancy and ``epochs`` sections."""
+        fleet_spec = FleetSpec.from_scenario(scenario)
+        if scenario.epochs is None:
+            raise ConfigurationError(
+                "scenario has no epochs section to orchestrate")
+        return cls(fleet_spec=fleet_spec, spec=scenario.epochs, mode=mode,
+                   monitor=monitor, context=context)
 
     # --- placement -----------------------------------------------------------
 
@@ -1142,8 +1047,9 @@ class Orchestrator:
         epochs: List[EpochStats] = []
         total_violations = 0
         for epoch in range(spec.epochs):
+            # The open run span is the bus's default parent.
             span = trace.begin("orchestrator.epoch", ts_ps=self._ts(epoch),
-                               parent=run_span, epoch=epoch)
+                               epoch=epoch)
             counters: Dict[str, int] = {}
             # Start-of-epoch observation every placement decision reads.
             snapshot_util = (state.load_units.astype(_np.float64)
@@ -1277,7 +1183,7 @@ class Orchestrator:
 
 
 def run_orchestrator(fleet_spec: Optional[FleetSpec] = None,
-                     spec: Optional[OrchestratorSpec] = None,
+                     spec: Optional[EpochsSpec] = None,
                      mode: str = "incremental",
                      history: Optional[FleetHistory] = None,
                      monitor: Optional[SloMonitor] = None,

@@ -47,10 +47,8 @@ from repro.errors import ConfigurationError
 from repro.fileio import atomic_write_text
 from repro.obs.profiler import phase as _profile_phase
 from repro.runtime.context import SimContext, isolated_context_stack
+from repro.scenario.spec import DEFAULT_PACKET_SIZES
 from repro.sim.vector import ENGINES, chain_supports_vector
-
-#: Paper sweep of Figure 17/18: the default packet-size axis.
-DEFAULT_PACKET_SIZES: Tuple[int, ...] = (64, 128, 256, 512, 1024)
 
 
 # ---------------------------------------------------------------------------

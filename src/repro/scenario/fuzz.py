@@ -505,9 +505,9 @@ class DifferentialFuzzer:
         """Cold vs warm runs of the plan against one private cache."""
         if scenario.kind != "sweep":
             return None
-        from repro.runtime.sweep import SweepCache, run_plan
+        from repro.runtime.sweep import SweepCache, SweepPlan, run_plan
 
-        plan = scenario.sweep_plan()
+        plan = SweepPlan.from_scenario(scenario)
         cache = SweepCache()
         cold = run_plan(plan, cache=cache, engine=scenario.engine)
         warm = run_plan(plan, cache=cache, engine=scenario.engine)

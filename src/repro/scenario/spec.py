@@ -1,12 +1,7 @@
 """The unified declarative Scenario spec.
 
-Every execution tier of the reproduction used to invent its own
-configuration shape: sweeps had :class:`repro.runtime.sweep.SweepPlan`,
-the fleet simulator had :class:`repro.runtime.fleet.FleetSpec`, the
-build farm had :class:`repro.runtime.buildfarm.BuildPlan`, and the CLI
-re-plumbed each through a divergent argparse block.  A
-:class:`Scenario` describes all of them in one versioned, canonically
-serialisable place:
+A :class:`Scenario` describes every execution tier of the reproduction
+in one versioned, canonically serialisable place:
 
 * **what** runs -- ``kind`` (``sweep`` / ``fleet`` / ``build``) plus the
   ``apps`` and ``devices`` axes;
@@ -15,8 +10,18 @@ serialisable place:
   and the deterministic ``seed``;
 * **who shares** the hardware -- the :class:`TenancySpec` (flows,
   tenants, PR slots, Zipf skew, offered load) and the fleet ``year``;
+* **how the fleet evolves** -- the optional :class:`EpochsSpec` (churn,
+  failures, drains, PR budget, autoscaling of an orchestrated day);
 * **how it is built** -- the :class:`BuildSpec` (CAD effort, packaged
   host software).
+
+Each section is the only declaration of its settings: their fields,
+defaults, validation and JSON form live here and nowhere else.  The
+tiers consume the sections directly --
+:class:`repro.runtime.fleet.FleetSpec` *is* a :class:`TenancySpec` plus
+``seed`` and ``year``, :class:`repro.runtime.orchestrator.Orchestrator`
+runs an :class:`EpochsSpec` as is, and the CLI overlays only the flags
+the user gave onto the section defaults.
 
 Serialisation is *canonical*: :meth:`Scenario.canonical_json` routes
 through :func:`repro.adapters.toolchain.canonical_json` (sorted keys,
@@ -31,13 +36,13 @@ Validation is loud: every malformed field, unknown key, unknown
 application/device/engine name, or unsupported version raises
 :class:`repro.errors.ConfigurationError` naming the valid choices.
 
-The existing layers consume scenarios rather than duplicating them:
-``SweepPlan.expand()`` delegates to :meth:`Scenario.expand_points`,
-``FleetSpec.from_scenario`` / ``BuildPlan.from_scenario`` construct the
-tier-native specs, and ``repro.cli sweep/fleet/build --scenario`` load
-one file through :func:`load_scenario`.  The differential conformance
-fuzzer (:mod:`repro.scenario.fuzz`) generates random valid scenarios
-and cross-checks every tier against this one source of truth.
+``SweepPlan.from_scenario`` (whose ``expand()`` delegates to
+:meth:`Scenario.expand_points`), ``FleetSpec.from_scenario``,
+``Orchestrator.from_scenario`` and ``BuildPlan.from_scenario`` read a
+scenario into each tier, and ``repro.cli sweep/fleet/build --scenario``
+load one file through :func:`load_scenario`.  The differential
+conformance fuzzer (:mod:`repro.scenario.fuzz`) generates random valid
+scenarios and cross-checks every tier against this one source of truth.
 """
 
 import dataclasses
@@ -56,12 +61,12 @@ SCENARIO_VERSION = 1
 #: The execution tiers a scenario can drive.
 SCENARIO_KINDS: Tuple[str, ...] = ("sweep", "fleet", "build")
 
-#: Paper sweep of Figure 17/18 (mirrors ``repro.runtime.sweep``).
+#: Paper sweep of Figure 17/18: the packet sizes every sweep, app
+#: measurement and CLI run defaults to.
 DEFAULT_PACKET_SIZES: Tuple[int, ...] = (64, 128, 256, 512, 1024)
 
-#: Host-software bundle packaged by default builds.  Pinned equal to
-#: ``repro.runtime.buildfarm.DEFAULT_SOFTWARE`` by a test; duplicated
-#: here so importing the spec never drags the build farm in.
+#: Host-software bundle packaged by default builds (the build farm's
+#: ``DEFAULT_SOFTWARE``).
 DEFAULT_BUILD_SOFTWARE: Tuple[str, ...] = ("driver", "runtime-lib", "health-agent")
 
 
@@ -262,9 +267,9 @@ class WorkloadSpec:
 class TenancySpec:
     """The fleet-sharing axis of a scenario.
 
-    Field meanings and validation mirror
-    :class:`repro.runtime.fleet.FleetSpec` (whose ``seed`` and ``year``
-    live at the scenario's top level, shared with the other kinds).
+    :class:`repro.runtime.fleet.FleetSpec` extends this section with the
+    scenario's top-level ``seed`` and ``year`` (shared with the other
+    kinds), so these fields and their checks exist only here.
     """
 
     flow_count: int = 1_000_000
@@ -351,9 +356,18 @@ class EpochsSpec:
     Optional: a fleet scenario without this section is the one-shot
     snapshot simulator; with it, ``repro.cli fleet --epochs`` (or the
     service layer) advances the fleet through churned epochs via
-    :class:`repro.runtime.orchestrator.Orchestrator`.  Field meanings
-    and validation mirror
-    :class:`repro.runtime.orchestrator.OrchestratorSpec`.
+    :class:`repro.runtime.orchestrator.Orchestrator`, which runs this
+    section as its spec.
+
+    ``churn`` is the per-epoch arrival *and* departure fraction of the
+    initial flow population, so the population stays near its initial
+    size while individual flows turn over.  ``failure_every`` /
+    ``drain_every`` fire a device failure / graceful drain every N
+    epochs (0 disables).  ``pr_budget`` caps partial-reconfiguration
+    grants per epoch fleet-wide (0 = unlimited); deferred grants rank
+    by tenant load, heaviest first.  The autoscaler holds a spare pool
+    of ``spare_fraction`` x device_count parked instances and moves
+    ``scale_step`` devices per decision.
 
     Unlike ``engine``, this section **is** part of scenario identity
     when present -- orchestration changes what is computed, not how.
@@ -601,21 +615,7 @@ class Scenario:
         """A copy with ``changes`` applied (``dataclasses.replace``)."""
         return dataclasses.replace(self, **changes)
 
-    # --- conversions into the tier-native specs ------------------------
-
-    def _require_kind(self, kind: str) -> None:
-        if self.kind != kind:
-            raise ConfigurationError(
-                f"scenario kind {self.kind!r} cannot drive {kind!r}; "
-                f"write a scenario with \"kind\": \"{kind}\""
-            )
-
-    def sweep_plan(self):
-        """This scenario as a :class:`repro.runtime.sweep.SweepPlan`."""
-        self._require_kind("sweep")
-        from repro.runtime.sweep import SweepPlan
-
-        return SweepPlan.from_scenario(self)
+    # --- sweep expansion -----------------------------------------------
 
     def expand_points(self) -> List[Any]:
         """Sweep expansion: the single source of point order.
@@ -624,7 +624,11 @@ class Scenario:
         fuzzer -- sees points in this canonical (app, device, size)
         order, with the scenario's engine applied to each point.
         """
-        self._require_kind("sweep")
+        if self.kind != "sweep":
+            raise ConfigurationError(
+                f"scenario kind {self.kind!r} cannot drive 'sweep'; "
+                f"write a scenario with \"kind\": \"sweep\""
+            )
         from repro.runtime.sweep import SweepPoint
 
         workload = self.workload
@@ -639,31 +643,6 @@ class Scenario:
             for device in self.devices
             for size in workload.packet_sizes
         ]
-
-    def fleet_spec(self):
-        """This scenario as a :class:`repro.runtime.fleet.FleetSpec`."""
-        self._require_kind("fleet")
-        from repro.runtime.fleet import FleetSpec
-
-        return FleetSpec.from_scenario(self)
-
-    def orchestrator_spec(self):
-        """This scenario's ``epochs`` section as an
-        :class:`repro.runtime.orchestrator.OrchestratorSpec`."""
-        self._require_kind("fleet")
-        if self.epochs is None:
-            raise ConfigurationError(
-                "this fleet scenario has no epochs section to orchestrate")
-        from repro.runtime.orchestrator import OrchestratorSpec
-
-        return OrchestratorSpec.from_scenario(self)
-
-    def build_plan(self):
-        """This scenario as a :class:`repro.runtime.buildfarm.BuildPlan`."""
-        self._require_kind("build")
-        from repro.runtime.buildfarm import BuildPlan
-
-        return BuildPlan.from_scenario(self)
 
 
 # ---------------------------------------------------------------------------

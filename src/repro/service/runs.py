@@ -27,10 +27,11 @@ SLO specs resolve through one shared :func:`slo_monitor_for`, so
 objectives per scenario kind.
 """
 
+import contextlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.runtime.context import SimContext
@@ -165,6 +166,38 @@ def _require_kind(scenario: Scenario, kind: str) -> None:
         )
 
 
+def _execute(run: Callable[[], Any], run_context: SimContext, monitor: Any,
+             kind: str, trace_context: Any, trace_out: Optional[str] = None,
+             trace_ring: int = 4_096) -> Tuple[Any, Any, float]:
+    """Run one context-traced tier: ``run()``, then its SLO check.
+
+    A ``trace_context`` wraps both in one ``serve.execute`` root span
+    carrying the request's trace id.  With ``trace_out`` the trace
+    streams through the flight recorder, and SLOs are evaluated while
+    it is still attached, so violation instants land inside the
+    streamed file.  Returns ``(result, slo report or None, elapsed_s)``.
+    """
+    start = time.perf_counter()
+    if trace_out:
+        from repro.obs.recorder import FlightRecorder
+
+        recorder = FlightRecorder(run_context.trace, trace_out,
+                                  ring=trace_ring)
+    else:
+        recorder = contextlib.nullcontext()
+    with recorder:
+        root = (run_context.trace.begin(
+                    "serve.execute", trace_id=trace_context.trace_id,
+                    kind=kind)
+                if trace_context is not None else None)
+        result = run()
+        report = (monitor.evaluate(run_context.metrics,
+                                   trace=run_context.trace)
+                  if monitor is not None else None)
+        run_context.trace.end(root)
+    return result, report, time.perf_counter() - start
+
+
 def run_sweep_service(scenario: Scenario, *, workers: int = 1,
                       cache: Any = None, use_cache: bool = True,
                       slo: Optional[str] = None, fuse: bool = True,
@@ -245,28 +278,9 @@ def run_orchestrator_service(scenario: Scenario, *,
         name="orchestrator", trace=True)
     orchestrator = Orchestrator.from_scenario(
         scenario, mode=mode, monitor=monitor, context=run_context)
-    start = time.perf_counter()
-
-    def _run_and_check():
-        root = (run_context.trace.begin(
-                    "serve.execute", trace_id=trace_context.trace_id,
-                    kind="fleet")
-                if trace_context is not None else None)
-        outcome = orchestrator.run()
-        report = (monitor.evaluate(run_context.metrics,
-                                   trace=run_context.trace)
-                  if monitor is not None else None)
-        run_context.trace.end(root)
-        return outcome, report
-
-    if trace_out:
-        from repro.obs.recorder import FlightRecorder
-
-        with FlightRecorder(run_context.trace, trace_out, ring=trace_ring):
-            result, report = _run_and_check()
-    else:
-        result, report = _run_and_check()
-    elapsed = time.perf_counter() - start
+    result, report, elapsed = _execute(
+        orchestrator.run, run_context, monitor, "fleet", trace_context,
+        trace_out=trace_out, trace_ring=trace_ring)
     payload = _normalise(result.to_json())
     return ServiceResult(
         kind="fleet", scenario=scenario, result=result, payload=payload,
@@ -322,28 +336,9 @@ def run_fleet_service(scenario: Scenario, *,
     run_context = context if context is not None else SimContext(
         name="fleet", trace=True)
     simulation = FleetSimulation(spec, context=run_context)
-    start = time.perf_counter()
-
-    def _run_and_check():
-        root = (run_context.trace.begin(
-                    "serve.execute", trace_id=trace_context.trace_id,
-                    kind="fleet")
-                if trace_context is not None else None)
-        outcome = simulation.run(run_policies)
-        report = (monitor.evaluate(run_context.metrics,
-                                   trace=run_context.trace)
-                  if monitor is not None else None)
-        run_context.trace.end(root)
-        return outcome, report
-
-    if trace_out:
-        from repro.obs.recorder import FlightRecorder
-
-        with FlightRecorder(run_context.trace, trace_out, ring=trace_ring):
-            result, report = _run_and_check()
-    else:
-        result, report = _run_and_check()
-    elapsed = time.perf_counter() - start
+    result, report, elapsed = _execute(
+        lambda: simulation.run(run_policies), run_context, monitor, "fleet",
+        trace_context, trace_out=trace_out, trace_ring=trace_ring)
     return ServiceResult(
         kind="fleet", scenario=scenario, result=result,
         payload=_normalise(result.to_json()), slo=report,
@@ -372,17 +367,8 @@ def run_build_service(scenario: Scenario, *, workers: int = 1,
         name="buildfarm", trace=True)
     farm = BuildFarm(plan, workers=workers, store=store,
                      use_cache=use_cache, context=run_context)
-    start = time.perf_counter()
-    root = (run_context.trace.begin(
-                "serve.execute", trace_id=trace_context.trace_id,
-                kind="build")
-            if trace_context is not None else None)
-    report = farm.run()
-    elapsed = time.perf_counter() - start
-    slo_report = (monitor.evaluate(run_context.metrics,
-                                   trace=run_context.trace)
-                  if monitor is not None else None)
-    run_context.trace.end(root)
+    report, slo_report, elapsed = _execute(
+        farm.run, run_context, monitor, "build", trace_context)
     return ServiceResult(
         kind="build", scenario=scenario, result=report,
         payload=build_payload(report), slo=slo_report, elapsed_s=elapsed,

@@ -464,3 +464,57 @@ class TestFleetTraceOut:
         assert any(record["name"] == "slo.violation" for record in records)
         ids = [record["id"] for record in records]
         assert ids == sorted(ids)  # emission order survives streaming
+
+    def test_epoch_trace_exports_under_the_run_span(self, capsys, tmp_path):
+        import json
+
+        target = tmp_path / "epochs_trace.jsonl"
+        assert main(["fleet", "--flows", "2000", "--devices", "16",
+                     "--epochs", "3", "--trace-out", str(target)]) == 0
+        capsys.readouterr()
+        records = [json.loads(line) for line in
+                   target.read_text(encoding="utf-8").splitlines()]
+        (run,) = [record for record in records
+                  if record["type"] == "B"
+                  and record["name"] == "orchestrator.run"]
+        epochs = [record for record in records
+                  if record["type"] == "B"
+                  and record["name"] == "orchestrator.epoch"]
+        assert len(epochs) == 3
+        assert all(record["parent"] == run["id"] for record in epochs)
+
+    def test_negative_trace_ring_is_rejected(self, capsys, tmp_path):
+        target = tmp_path / "fleet_trace.jsonl"
+        assert main(["fleet", "--flows", "2000", "--devices", "16",
+                     "--trace-out", str(target), "--trace-ring", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--trace-ring" in err
+        assert not target.exists()
+
+
+class TestOutputFiles:
+    """Every CLI writer replaces its file atomically and fails loudly."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fleet", "--flows", "2000", "--devices", "16", "--json"],
+        ["sweep", "--apps", "sec-gateway", "--devices", "device-a",
+         "--sizes", "64", "--packets", "20", "--trace-out"],
+        ["build", "--devices", "device-a", "--apps", "sec-gateway",
+         "--manifests-out"],
+    ])
+    def test_missing_directory_is_an_error(self, argv, capsys, tmp_path):
+        target = tmp_path / "absent" / "out"
+        assert main(argv + [str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("error:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "absent").exists()
+
+    def test_unwritable_target_leaves_no_temp_file(self, capsys, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        assert main(["fleet", "--flows", "2000", "--devices", "16",
+                     "--json", str(target)]) == 1
+        assert "\nerror:" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["taken"]
+        assert not any(target.iterdir())

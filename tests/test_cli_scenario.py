@@ -8,6 +8,7 @@ import pytest
 from repro.cli import main
 from repro.scenario import (
     BuildSpec,
+    EpochsSpec,
     Scenario,
     TenancySpec,
     WorkloadSpec,
@@ -151,6 +152,24 @@ class TestFleetParity:
         first.pop("elapsed_s")
         second.pop("elapsed_s")
         assert first == second
+
+    def test_epoch_results_match_minus_wall_clock(self, tmp_path, capsys):
+        scenario = self.SCENARIO.replace(
+            epochs=EpochsSpec(epochs=4, churn=0.02))
+        path = write_scenario(tmp_path, scenario)
+        from_file = tmp_path / "file.json"
+        from_flags = tmp_path / "flags.json"
+        assert main(["fleet", "--scenario", path,
+                     "--json", str(from_file)]) == 0
+        assert main(["fleet", *self.FLAGS, "--epochs", "4", "--churn", "0.02",
+                     "--json", str(from_flags)]) == 0
+        capsys.readouterr()
+        first = json.loads(from_file.read_text())
+        second = json.loads(from_flags.read_text())
+        first.pop("elapsed_s")
+        second.pop("elapsed_s")
+        assert first == second
+        assert first["spec"]["epochs"] == scenario.epochs.to_json()
 
     def test_shape_flags_conflict_with_scenario(self, tmp_path, capsys):
         path = write_scenario(tmp_path, self.SCENARIO)

@@ -18,11 +18,11 @@ from repro.runtime.orchestrator import (
     DeltaMismatch,
     FleetState,
     Orchestrator,
-    OrchestratorSpec,
     desired_residency,
     run_orchestrator,
     weighted_percentiles,
 )
+from repro.scenario import EpochsSpec
 from repro.scenario.fuzz import _min_fleet_devices
 from repro.workloads.flows import ChurnStream, churn_stream_hashes32
 
@@ -30,8 +30,8 @@ from repro.workloads.flows import ChurnStream, churn_stream_hashes32
 #: failure, drain, migration, PR budgeting, and autoscaling.
 SMALL_FLEET = FleetSpec(flow_count=6_000, device_count=16, tenant_count=6,
                         slots_per_device=2, seed=11)
-SMALL_SPEC = OrchestratorSpec(epochs=18, churn=0.03, failure_every=5,
-                              drain_every=7, pr_budget=8, scale_step=2)
+SMALL_SPEC = EpochsSpec(epochs=18, churn=0.03, failure_every=5,
+                        drain_every=7, pr_budget=8, scale_step=2)
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +56,7 @@ class TestSpecValidation:
     ])
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ConfigurationError):
-            OrchestratorSpec(**kwargs)
+            EpochsSpec(**kwargs)
 
     def test_rejects_bad_mode(self):
         with pytest.raises(ConfigurationError):
@@ -222,6 +222,19 @@ class TestBitExactness:
             snapshots.append(context.metrics.snapshot())
         assert snapshots[0] == snapshots[1]
 
+    def test_traced_day_exports_jsonl(self):
+        context = SimContext(name="orch-traced", trace=True)
+        spec = dataclasses.replace(SMALL_SPEC, epochs=3)
+        run_orchestrator(SMALL_FLEET, spec, context=context)
+        records = [json.loads(line) for line in
+                   context.trace.export_jsonl().splitlines()]
+        run_ids = {record["id"] for record in records
+                   if record["name"] == "orchestrator.run"}
+        parents = [record["parent"] for record in records
+                   if record["type"] == "B"
+                   and record["name"] == "orchestrator.epoch"]
+        assert len(run_ids) == 1 and parents == [run_ids.pop()] * 3
+
     def test_verify_mode_detects_corruption(self):
         orchestrator = Orchestrator(SMALL_FLEET, SMALL_SPEC, mode="verify")
         # Sabotage one aggregate cell: the next epoch's oracle check
@@ -308,7 +321,7 @@ _fleet_specs = st.builds(
     seed=st.integers(min_value=0, max_value=2**31),
 )
 _orch_specs = st.builds(
-    OrchestratorSpec,
+    EpochsSpec,
     epochs=st.integers(min_value=1, max_value=6),
     churn=st.floats(min_value=0.0, max_value=0.2),
     failure_every=st.integers(min_value=0, max_value=3),
@@ -369,7 +382,7 @@ class TestConservationInvariants:
     @settings(max_examples=20, deadline=None)
     @given(fleet=_fleet_specs, data=st.data())
     def test_migration_conserves_flows_and_load(self, fleet, data):
-        spec = OrchestratorSpec(epochs=1, churn=0.0)
+        spec = EpochsSpec(epochs=1, churn=0.0)
         state = FleetState(fleet, spec)
         before_flows = state.active_flows
         before_load = int(state.load_units.sum())
@@ -388,8 +401,8 @@ class TestConservationInvariants:
 
 class TestScale:
     def test_churn_zero_is_stable(self):
-        spec = OrchestratorSpec(epochs=3, churn=0.0, failure_every=0,
-                                drain_every=0, autoscale=False)
+        spec = EpochsSpec(epochs=3, churn=0.0, failure_every=0,
+                          drain_every=0, autoscale=False)
         result = run_orchestrator(SMALL_FLEET, spec, mode="verify")
         flows = {stats.flows for stats in result.epochs}
         assert flows == {SMALL_FLEET.flow_count}

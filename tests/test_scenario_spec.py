@@ -224,7 +224,7 @@ class TestEpochsSection:
         with pytest.raises(ConfigurationError, match="fleet"):
             sweep_scenario().replace(epochs=EpochsSpec())
 
-    def test_validation_mirrors_orchestrator_spec(self):
+    def test_validation_rejects_bad_knobs(self):
         for kwargs in ({"epochs": 0}, {"churn": 0.9}, {"scale_step": 0},
                        {"policy": "bogus"}):
             with pytest.raises(ConfigurationError):
@@ -237,15 +237,16 @@ class TestEpochsSection:
         with pytest.raises(ConfigurationError, match="surprise"):
             Scenario.from_json(payload)
 
-    def test_orchestrator_spec_conversion(self):
-        from repro.runtime.orchestrator import OrchestratorSpec
+    def test_orchestrator_reads_epochs_section(self):
+        from repro.runtime.orchestrator import Orchestrator
 
-        scenario = self._fleet(epochs=EpochsSpec(epochs=6, churn=0.05,
-                                                 pr_budget=3))
-        spec = scenario.orchestrator_spec()
-        assert spec == OrchestratorSpec(epochs=6, churn=0.05, pr_budget=3)
+        section = EpochsSpec(epochs=6, churn=0.05, pr_budget=3)
+        scenario = self._fleet(epochs=section)
+        orchestrator = Orchestrator.from_scenario(scenario)
+        assert orchestrator.spec == section
+        assert orchestrator.fleet_spec == FleetSpec.from_scenario(scenario)
         with pytest.raises(ConfigurationError, match="epochs"):
-            self._fleet().orchestrator_spec()
+            Orchestrator.from_scenario(self._fleet())
 
 
 class TestSweepCacheKeyInsensitivity:
@@ -307,6 +308,15 @@ class TestTierConversions:
                                  tenant_count=2, slots_per_device=3,
                                  alpha=1.2, offered_load=0.5,
                                  mean_packet_bytes=256, seed=7, year=2_022)
+
+    def test_fleet_spec_is_the_tenancy_section_plus_seed_and_year(self):
+        tenancy = TenancySpec(flow_count=123, device_count=8, alpha=1.2)
+        spec = FleetSpec(**tenancy.to_json(), seed=7, year=2_022)
+        assert isinstance(spec, TenancySpec)
+        assert spec.to_json() == {**tenancy.to_json(), "seed": 7,
+                                  "year": 2_022}
+        with pytest.raises(ConfigurationError, match="need at least one flow"):
+            FleetSpec(flow_count=0)
 
     def test_build_plan_from_explicit_devices(self):
         scenario = Scenario(kind="build", apps=("sec-gateway",),
