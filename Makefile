@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test bench bench-smoke bench-sweep bench-vector bench-fleet bench-fleet-lpt bench-obs bench-build bench-serve bench-orchestrator fuzz-smoke report examples lint all
+.PHONY: test bench bench-smoke bench-sweep bench-vector bench-fleet bench-fleet-lpt bench-obs bench-build bench-serve bench-orchestrator fuzz-smoke golden report examples lint all
 
 test:
 	$(PYTHON) -m pytest tests/
@@ -39,6 +39,9 @@ bench-orchestrator:
 
 fuzz-smoke:
 	$(PYTHON) benchmarks/fuzz_smoke.py
+
+golden:
+	$(PYTHON) tests/golden.py
 
 report:
 	$(PYTHON) -m repro.cli report
