@@ -52,6 +52,7 @@ from repro.runtime.buildfarm import (  # noqa: E402
     BuildFarm,
     fleet_build_plan,
 )
+from repro.scenario import BuildSpec  # noqa: E402
 
 YEARS = (2020, 2021, 2022, 2023, 2024)
 WORKERS = 4
@@ -61,7 +62,8 @@ REPEATS = 2
 #: benchmark under a couple of minutes.
 EFFORT = 1_000
 
-PLANS = {year: fleet_build_plan(year, effort=EFFORT) for year in YEARS}
+PLANS = {year: fleet_build_plan(year, build=BuildSpec(effort=EFFORT))
+         for year in YEARS}
 
 
 def naive_serial() -> int:

@@ -39,7 +39,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.obs.recorder import FlightRecorder  # noqa: E402
 from repro.runtime import SimContext  # noqa: E402
-from repro.runtime.fleet import FleetSpec, run_fleet  # noqa: E402
+from repro.runtime.fleet import FleetSimulation, FleetSpec  # noqa: E402
 from repro.runtime.trace import TraceBus  # noqa: E402
 from repro.scenario import Scenario, WorkloadSpec  # noqa: E402
 from repro.serve import (  # noqa: E402
@@ -83,19 +83,21 @@ def best_of(workload, repeats: int = REPEATS) -> float:
 
 
 def _bare_run() -> None:
-    run_fleet(FLEET_SPEC, context=SimContext(name="obs-bare", trace=False))
+    FleetSimulation(FLEET_SPEC,
+                    context=SimContext(name="obs-bare", trace=False)).run()
 
 
 def _quiet_run() -> None:
     # Same as bare today, but kept as a separate gate: any future cost
     # added to the disabled bus shows up here first.
-    run_fleet(FLEET_SPEC, context=SimContext(name="obs-quiet", trace=False))
+    FleetSimulation(FLEET_SPEC,
+                    context=SimContext(name="obs-quiet", trace=False)).run()
 
 
 def _streamed_run(path: str) -> None:
     context = SimContext(name="obs-stream", trace=True)
     with FlightRecorder(context.trace, path, ring=RING):
-        run_fleet(FLEET_SPEC, context=context)
+        FleetSimulation(FLEET_SPEC, context=context).run()
 
 
 def _span_pairs(nested: bool) -> float:

@@ -33,7 +33,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.runtime.context import SimContext  # noqa: E402
 from repro.runtime.fleet import FleetSpec  # noqa: E402
-from repro.runtime.orchestrator import run_orchestrator  # noqa: E402
+from repro.runtime.orchestrator import Orchestrator  # noqa: E402
 from repro.scenario import EpochsSpec  # noqa: E402
 
 FLOWS = 1_000_000
@@ -61,7 +61,7 @@ def _run(mode: str, epochs: int = EPOCHS):
         spec = dataclasses.replace(spec, epochs=epochs)
     context = SimContext(name=f"orchestrator-{mode}")
     started = time.perf_counter()
-    result = run_orchestrator(fleet, spec, mode=mode, context=context)
+    result = Orchestrator(fleet, spec, mode=mode, context=context).run()
     elapsed = time.perf_counter() - started
     return result, context.metrics.snapshot(), elapsed
 

@@ -37,11 +37,8 @@ from perf_smoke import best_of  # noqa: E402
 
 from repro.apps import application_by_name  # noqa: E402
 from repro.platform.catalog import device_by_name  # noqa: E402
-from repro.runtime.sweep import (  # noqa: E402
-    SweepCache,
-    SweepPlan,
-    SweepRunner,
-)
+from repro.runtime.sweep import SweepCache, SweepRunner  # noqa: E402
+from repro.scenario import Scenario, WorkloadSpec  # noqa: E402
 from repro.sim.pipeline import run_packet_sweep_reference  # noqa: E402
 
 #: The fixed workload: the three BITW apps of Figure 17 across three
@@ -54,8 +51,9 @@ PACKETS_PER_POINT = 4_000
 WORKERS = 4
 REPEATS = 2
 
-PLAN = SweepPlan(apps=APPS, devices=DEVICES, packet_sizes=PACKET_SIZES,
-                 packets_per_point=PACKETS_PER_POINT)
+SCENARIO = Scenario(kind="sweep", apps=APPS, devices=DEVICES,
+                    workload=WorkloadSpec(packet_sizes=PACKET_SIZES,
+                                          packets_per_point=PACKETS_PER_POINT))
 
 
 def serial_seed_sweep() -> list:
@@ -82,10 +80,11 @@ def serial_seed_sweep() -> list:
 
 def run() -> dict:
     # Warm imports/catalog outside every timing window.
-    serial_seed_sweep_points = len(PLAN)
     cache = SweepCache()
-    perpoint = SweepRunner(PLAN, workers=WORKERS, cache=cache, fuse=False)
-    fused = SweepRunner(PLAN, workers=WORKERS, cache=cache, fuse=True)
+    perpoint = SweepRunner(SCENARIO, workers=WORKERS, cache=cache,
+                           fuse=False)
+    fused = SweepRunner(SCENARIO, workers=WORKERS, cache=cache, fuse=True)
+    serial_seed_sweep_points = len(fused.points)
 
     serial_s = best_of(serial_seed_sweep, REPEATS)
 

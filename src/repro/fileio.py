@@ -18,20 +18,28 @@ def atomic_write_text(path: str, text: str) -> None:
 
     The temporary file sits in ``path``'s own directory (so the rename
     never crosses a filesystem) as ``<name>.<random>.tmp``, and it is
-    unlinked on any exception before the exception propagates.
+    unlinked on any exception before the exception propagates.  An
+    ``OSError`` about the temporary file (a missing directory, a target
+    that is a directory) is re-raised naming ``path``: the temporary
+    name is an implementation detail the caller never gave.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    handle = tempfile.NamedTemporaryFile(
-        "w", dir=directory, prefix=os.path.basename(path) + ".",
-        suffix=".tmp", delete=False, encoding="utf-8", newline="\n",
-    )
+    try:
+        handle = tempfile.NamedTemporaryFile(
+            "w", dir=directory, prefix=os.path.basename(path) + ".",
+            suffix=".tmp", delete=False, encoding="utf-8", newline="\n",
+        )
+    except OSError as error:
+        raise type(error)(error.errno, error.strerror, path) from None
     try:
         with handle:
             handle.write(text)
         os.replace(handle.name, path)
-    except BaseException:
+    except BaseException as error:
         try:
             os.unlink(handle.name)
         except OSError:
             pass
+        if isinstance(error, OSError) and error.filename == handle.name:
+            raise type(error)(error.errno, error.strerror, path) from None
         raise

@@ -36,17 +36,15 @@ from repro.runtime.trace import Span, TraceBus
 # the orchestrator pulls in ``obs.slo`` for its autoscaling signal.
 _LAZY_EXPORTS = {
     **dict.fromkeys(("FleetResult", "FleetSimulation", "FleetSpec",
-                     "PolicyResult", "TenantStats", "run_fleet"), "fleet"),
-    **dict.fromkeys(("PointResult", "SweepCache", "SweepPlan",
-                     "SweepPoint", "SweepResult", "SweepRunner",
-                     "chain_signature", "run_plan", "sweep_cache_key"),
-                    "sweep"),
+                     "PolicyResult", "TenantStats"), "fleet"),
+    **dict.fromkeys(("PointResult", "SweepCache", "SweepPoint",
+                     "SweepResult", "SweepRunner", "chain_signature",
+                     "sweep_cache_key"), "sweep"),
     **dict.fromkeys(("ArtifactStore", "BuildFarm", "BuildPlan",
                      "BuildReport", "BuildTarget", "TargetResult",
-                     "fleet_build_plan", "run_build_plan"), "buildfarm"),
+                     "fleet_build_plan"), "buildfarm"),
     **dict.fromkeys(("DeltaMismatch", "EpochStats", "FleetState",
-                     "Orchestrator", "OrchestratorResult",
-                     "run_orchestrator"), "orchestrator"),
+                     "Orchestrator", "OrchestratorResult"), "orchestrator"),
 }
 
 
@@ -83,7 +81,6 @@ __all__ = [
     "SimContext",
     "Span",
     "SweepCache",
-    "SweepPlan",
     "SweepPoint",
     "SweepResult",
     "SweepRunner",
@@ -95,9 +92,5 @@ __all__ = [
     "ensure_context",
     "fleet_build_plan",
     "isolated_context_stack",
-    "run_build_plan",
-    "run_fleet",
-    "run_orchestrator",
-    "run_plan",
     "sweep_cache_key",
 ]

@@ -502,15 +502,14 @@ class DifferentialFuzzer:
         return None
 
     def check_cache_tier(self, scenario: Scenario) -> Optional[str]:
-        """Cold vs warm runs of the plan against one private cache."""
+        """Cold vs warm runs of the sweep against one private cache."""
         if scenario.kind != "sweep":
             return None
-        from repro.runtime.sweep import SweepCache, SweepPlan, run_plan
+        from repro.runtime.sweep import SweepCache, SweepRunner
 
-        plan = SweepPlan.from_scenario(scenario)
-        cache = SweepCache()
-        cold = run_plan(plan, cache=cache, engine=scenario.engine)
-        warm = run_plan(plan, cache=cache, engine=scenario.engine)
+        runner = SweepRunner(scenario, cache=SweepCache())
+        cold = runner.run()
+        warm = runner.run()
         missed = [r.point.label() for r in warm.points if not r.cached]
         if missed:
             return f"warm rerun missed the cache at {', '.join(missed)}"

@@ -16,12 +16,16 @@ in one versioned, canonically serialisable place:
   host software).
 
 Each section is the only declaration of its settings: their fields,
-defaults, validation and JSON form live here and nowhere else.  The
-tiers consume the sections directly --
-:class:`repro.runtime.fleet.FleetSpec` *is* a :class:`TenancySpec` plus
-``seed`` and ``year``, :class:`repro.runtime.orchestrator.Orchestrator`
-runs an :class:`EpochsSpec` as is, and the CLI overlays only the flags
-the user gave onto the section defaults.
+defaults, validation and JSON form live here and nowhere else, and the
+validated scenario is the only thing a tier is told.  The tiers consume
+it directly -- :class:`repro.runtime.sweep.SweepRunner` expands it with
+:meth:`Scenario.expand_points`, :class:`repro.runtime.fleet.FleetSpec`
+*is* a :class:`TenancySpec` plus ``seed`` and ``year``,
+:class:`repro.runtime.orchestrator.Orchestrator` runs an
+:class:`EpochsSpec` as is, :class:`repro.runtime.buildfarm.BuildPlan`
+holds the :class:`BuildSpec` as is next to its resolved device and role
+axes -- and the CLI overlays only the flags the user gave onto the
+section defaults.
 
 Serialisation is *canonical*: :meth:`Scenario.canonical_json` routes
 through :func:`repro.adapters.toolchain.canonical_json` (sorted keys,
@@ -36,11 +40,13 @@ Validation is loud: every malformed field, unknown key, unknown
 application/device/engine name, or unsupported version raises
 :class:`repro.errors.ConfigurationError` naming the valid choices.
 
-``SweepPlan.from_scenario`` (whose ``expand()`` delegates to
-:meth:`Scenario.expand_points`), ``FleetSpec.from_scenario``,
-``Orchestrator.from_scenario`` and ``BuildPlan.from_scenario`` read a
-scenario into each tier, and ``repro.cli sweep/fleet/build --scenario``
-load one file through :func:`load_scenario`.  The differential
+Each tier has one entry point: its class (``SweepRunner(scenario)``,
+``FleetSimulation(FleetSpec.from_scenario(scenario))``,
+``Orchestrator.from_scenario(scenario)``,
+``BuildFarm(BuildPlan.from_scenario(scenario))``) plus its
+``repro.service`` ``run_*_service`` function, and
+``repro.cli sweep/fleet/build --scenario`` load one file through
+:func:`load_scenario`.  The differential
 conformance fuzzer (:mod:`repro.scenario.fuzz`) generates random valid
 scenarios and cross-checks every tier against this one source of truth.
 """
@@ -53,6 +59,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.fileio import atomic_write_text
 from repro.sim.vector import ENGINES
 
 #: Bump when the serialised layout changes incompatibly.
@@ -65,8 +72,7 @@ SCENARIO_KINDS: Tuple[str, ...] = ("sweep", "fleet", "build")
 #: measurement and CLI run defaults to.
 DEFAULT_PACKET_SIZES: Tuple[int, ...] = (64, 128, 256, 512, 1024)
 
-#: Host-software bundle packaged by default builds (the build farm's
-#: ``DEFAULT_SOFTWARE``).
+#: Host-software bundle packaged by default builds.
 DEFAULT_BUILD_SOFTWARE: Tuple[str, ...] = ("driver", "runtime-lib", "health-agent")
 
 
@@ -620,9 +626,10 @@ class Scenario:
     def expand_points(self) -> List[Any]:
         """Sweep expansion: the single source of point order.
 
-        Every consumer -- ``SweepPlan.expand()``, the runner, the
-        fuzzer -- sees points in this canonical (app, device, size)
-        order, with the scenario's engine applied to each point.
+        Every consumer -- :class:`repro.runtime.sweep.SweepRunner`, the
+        fuzzer, the benchmarks -- sees points in this canonical (app,
+        device, size) order, with the scenario's engine applied to each
+        point.  Any other kind is rejected loudly.
         """
         if self.kind != "sweep":
             raise ConfigurationError(
@@ -671,8 +678,8 @@ def load_scenario(path: str) -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path: str) -> str:
-    """Write ``scenario`` as canonical JSON; returns the canonical text."""
+    """Write ``scenario`` as canonical JSON, atomically; returns the
+    canonical text."""
     text = scenario.canonical_json()
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text + "\n")
+    atomic_write_text(path, text + "\n")
     return text

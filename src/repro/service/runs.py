@@ -200,25 +200,23 @@ def _execute(run: Callable[[], Any], run_context: SimContext, monitor: Any,
 
 def run_sweep_service(scenario: Scenario, *, workers: int = 1,
                       cache: Any = None, use_cache: bool = True,
-                      slo: Optional[str] = None, fuse: bool = True,
+                      slo: Optional[str] = None,
                       executor: Any = None) -> ServiceResult:
     """Execute a sweep scenario (the ``repro.cli sweep`` core).
 
-    Cache misses route through the fused multi-point planner by default
-    (``fuse=False`` forces per-point execution); ``executor`` injects a
-    resident ProcessPool so a long-lived caller -- the serving daemon --
-    never spawns one per request.  The planner's provenance (fused vs
-    pooled point counts, whether a pool was spawned) lands in ``meta``.
+    Cache misses route through the fused multi-point planner;
+    ``executor`` injects a resident ProcessPool so a long-lived caller
+    -- the serving daemon -- never spawns one per request.  The
+    planner's provenance (fused vs pooled point counts, whether a pool
+    was spawned) lands in ``meta``.
     """
     from repro.obs.slo import registry_from_sweep
-    from repro.runtime.sweep import SweepPlan, SweepRunner
+    from repro.runtime.sweep import SweepRunner
 
     _require_kind(scenario, "sweep")
     monitor = slo_monitor_for("sweep", slo)   # fail loud before the run
-    plan = SweepPlan.from_scenario(scenario)
-    runner = SweepRunner(plan, workers=workers, cache=cache,
-                         use_cache=use_cache, engine=scenario.engine,
-                         fuse=fuse, executor=executor)
+    runner = SweepRunner(scenario, workers=workers, cache=cache,
+                         use_cache=use_cache, executor=executor)
     start = time.perf_counter()
     result = runner.run()
     elapsed = time.perf_counter() - start

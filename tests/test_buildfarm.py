@@ -16,9 +16,9 @@ from repro.runtime.buildfarm import (
     FARM_STEP_NAMES,
     build_one,
     fleet_build_plan,
-    run_build_plan,
 )
 from repro.runtime.context import SimContext
+from repro.scenario import BuildSpec
 
 SMALL = BuildPlan(devices=("device-a", "device-b"),
                   roles=("sec-gateway", "board-test"))
@@ -42,9 +42,11 @@ class TestPlan:
             BuildPlan(devices=("device-a",), roles=())
 
     def test_negative_effort_rejected(self):
-        with pytest.raises(ConfigurationError):
+        # The plan holds the scenario's build section, which owns the
+        # check.
+        with pytest.raises(ConfigurationError, match="effort"):
             BuildPlan(devices=("device-a",), roles=("sec-gateway",),
-                      effort=-1)
+                      build=BuildSpec(effort=-1))
 
     def test_fleet_plan_covers_active_types_and_all_roles(self):
         plan = fleet_build_plan(2024)
@@ -112,7 +114,7 @@ class TestContentKeys:
                                          roles=("board-test",))).run()
         other_effort = BuildFarm(BuildPlan(devices=("device-a",),
                                            roles=("sec-gateway",),
-                                           effort=3)).run()
+                                           build=BuildSpec(effort=3))).run()
         keys = {base.targets[0].build_key, other_role.targets[0].build_key,
                 other_effort.targets[0].build_key}
         assert len(keys) == 3
@@ -120,7 +122,7 @@ class TestContentKeys:
     def test_incompatible_pairs_are_deterministic_and_uncached(self):
         plan = BuildPlan(devices=("device-c",), roles=("retrieval",))
         store = ArtifactStore()
-        report = run_build_plan(plan, store=store)
+        report = BuildFarm(plan, store=store).run()
         assert report.targets[0].status == "incompatible"
         assert "memory" in report.targets[0].error
         assert len(store) == 0
@@ -129,7 +131,7 @@ class TestContentKeys:
         # sec-gateway needs URAM device-vu125-legacy does not have.
         plan = BuildPlan(devices=("device-vu125-legacy",),
                          roles=("sec-gateway",))
-        report = run_build_plan(plan)
+        report = BuildFarm(plan).run()
         assert report.targets[0].status == "incompatible"
         assert "does not fit" in report.targets[0].error
 
@@ -138,7 +140,7 @@ class TestContentKeys:
         # in-process memo instead of re-executing a doomed flow.
         plan = BuildPlan(devices=("device-vu125-legacy",),
                          roles=("sec-gateway",))
-        first = run_build_plan(plan)
+        first = BuildFarm(plan).run()
         key = first.to_json()["targets"][0]["build_key"]
         assert key in buildfarm._BUILD_FAILED
 
@@ -146,7 +148,7 @@ class TestContentKeys:
             raise AssertionError("memoised failure was re-executed")
 
         monkeypatch.setattr(buildfarm, "_execute_build", boom)
-        again = run_build_plan(plan)
+        again = BuildFarm(plan).run()
         assert again.targets[0].status == "incompatible"
         assert again.targets[0].error == first.targets[0].error
 

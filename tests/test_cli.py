@@ -483,6 +483,26 @@ class TestFleetTraceOut:
         assert len(epochs) == 3
         assert all(record["parent"] == run["id"] for record in epochs)
 
+    def test_epoch_trace_out_reports_streamed_records(self, capsys,
+                                                      tmp_path):
+        target = tmp_path / "epochs_trace.jsonl"
+        assert main(["fleet", "--flows", "2000", "--devices", "16",
+                     "--epochs", "3", "--trace-out", str(target),
+                     "--trace-ring", "8"]) == 0
+        err = capsys.readouterr().err
+        streamed = len(target.read_text(encoding="utf-8").splitlines())
+        assert (f"# streamed {streamed} trace records to {target} "
+                f"(8 resident)") in err
+
+    def test_trace_ring_without_trace_out_is_rejected(self, capsys):
+        assert main(["fleet", "--flows", "2000", "--devices", "16",
+                     "--trace-ring", "7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "--trace-ring" in captured.err
+        assert "--trace-out" in captured.err
+
     def test_negative_trace_ring_is_rejected(self, capsys, tmp_path):
         target = tmp_path / "fleet_trace.jsonl"
         assert main(["fleet", "--flows", "2000", "--devices", "16",

@@ -28,3 +28,20 @@ class TestAtomicWriteText:
             atomic_write_text(str(target), "new\n")
         assert target.read_text(encoding="utf-8") == "old\n"
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_missing_directory_error_names_the_target(self, tmp_path):
+        target = tmp_path / "absent" / "out.json"
+        with pytest.raises(FileNotFoundError) as caught:
+            atomic_write_text(str(target), "new\n")
+        assert caught.value.filename == str(target)
+        assert str(caught.value).endswith(f"'{target}'")
+        assert ".tmp" not in str(caught.value)
+
+    def test_directory_target_error_names_the_target(self, tmp_path):
+        target = tmp_path / "out.json"
+        target.mkdir()
+        with pytest.raises(OSError) as caught:
+            atomic_write_text(str(target), "new\n")
+        assert caught.value.filename == str(target)
+        assert ".tmp" not in str(caught.value)
+        assert os.listdir(tmp_path) == ["out.json"]

@@ -18,7 +18,6 @@ from repro.runtime.fleet import (
     _capacity_gbps,
     assign_flows,
     assign_flows_reference,
-    run_fleet,
 )
 from repro.workloads.flows import zipf_weights_array
 
@@ -29,7 +28,7 @@ SMALL = FleetSpec(flow_count=20_000, device_count=64, tenant_count=8,
 
 @pytest.fixture(scope="module")
 def small_result():
-    return run_fleet(SMALL)
+    return FleetSimulation(SMALL).run()
 
 
 class TestSpecValidation:
@@ -203,14 +202,14 @@ class TestPolicies:
 
 class TestDeterminismAndJson:
     def test_same_spec_same_json(self, small_result):
-        again = run_fleet(SMALL)
+        again = FleetSimulation(SMALL).run()
         assert json.dumps(again.to_json(), sort_keys=True) == \
             json.dumps(small_result.to_json(), sort_keys=True)
 
     def test_seed_changes_the_scenario(self, small_result):
-        other = run_fleet(FleetSpec(flow_count=20_000, device_count=64,
-                                    tenant_count=8, slots_per_device=2,
-                                    seed=12))
+        other = FleetSimulation(FleetSpec(flow_count=20_000, device_count=64,
+                                          tenant_count=8, slots_per_device=2,
+                                          seed=12)).run()
         assert other.to_json() != small_result.to_json()
 
     def test_json_round_trips(self, small_result):
@@ -250,7 +249,7 @@ class TestDeterminismAndJson:
 class TestObservability:
     def test_metrics_and_spans_emitted(self):
         context = SimContext(name="fleet-test", trace=True)
-        run_fleet(SMALL, policies=("least-loaded",), context=context)
+        FleetSimulation(SMALL, context=context).run(("least-loaded",))
         snapshot = context.metrics.snapshot()
         assert snapshot["fleet"]["least-loaded"]["p99_ns"] > 0
         assert snapshot["fleet"]["flows"] == SMALL.flow_count

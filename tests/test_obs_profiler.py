@@ -135,28 +135,32 @@ class TestActivation:
 
     def test_instrumented_phases_show_up_end_to_end(self):
         from repro.runtime import SimContext
-        from repro.runtime.fleet import FleetSpec, run_fleet
-        from repro.runtime.sweep import SweepPlan, run_plan
+        from repro.runtime.fleet import FleetSimulation, FleetSpec
+        from repro.runtime.sweep import SweepRunner
+        from repro.scenario import Scenario, WorkloadSpec
 
-        plan = SweepPlan(apps=("sec-gateway",), devices=("device-a",),
-                         packet_sizes=(64,), packets_per_point=50)
+        scenario = Scenario(
+            kind="sweep", apps=("sec-gateway",), devices=("device-a",),
+            workload=WorkloadSpec(packet_sizes=(64,), packets_per_point=50))
         profiler = SelfProfiler()
         with profiler:
-            run_plan(plan, use_cache=False)               # fused planner
-            run_plan(plan, use_cache=False, fuse=False)   # per-point path
-            run_fleet(FleetSpec(flow_count=5_000, device_count=16),
-                      context=SimContext(name="profiled"))
+            SweepRunner(scenario, use_cache=False).run()   # fused planner
+            SweepRunner(scenario, use_cache=False,
+                        fuse=False).run()                  # per-point path
+            FleetSimulation(FleetSpec(flow_count=5_000, device_count=16),
+                            context=SimContext(name="profiled")).run()
         names = {stats.name for stats in profiler.table(top=0)}
         assert {"sweep.fused", "sweep.point", "vector.kernel",
                 "fleet.policy"} <= names
 
     def test_profiler_never_touches_sim_time(self):
         from repro.runtime import SimContext
-        from repro.runtime.fleet import FleetSpec, run_fleet
+        from repro.runtime.fleet import FleetSimulation, FleetSpec
 
         spec = FleetSpec(flow_count=5_000, device_count=16)
-        bare = run_fleet(spec, context=SimContext(name="bare"))
+        bare = FleetSimulation(spec, context=SimContext(name="bare")).run()
         with SelfProfiler():
-            profiled = run_fleet(spec, context=SimContext(name="prof"))
+            profiled = FleetSimulation(
+                spec, context=SimContext(name="prof")).run()
         assert [policy.p99_ns for policy in bare.policies] == [
             policy.p99_ns for policy in profiled.policies]

@@ -158,23 +158,25 @@ class TestPersistence:
 class TestFleetAndSweepIntegration:
     def test_default_fleet_slos_cover_the_fleet_registry(self):
         from repro.runtime import SimContext
-        from repro.runtime.fleet import FleetSpec, run_fleet
+        from repro.runtime.fleet import FleetSimulation, FleetSpec
 
         context = SimContext(name="slo-fleet")
-        run_fleet(FleetSpec(flow_count=5_000, device_count=16),
-                  context=context)
+        FleetSimulation(FleetSpec(flow_count=5_000, device_count=16),
+                        context=context).run()
         report = SloMonitor(default_fleet_slos()).evaluate(context.metrics)
         # Every spec family found series to check: 3 policies x 16
         # tenants of p99 plus per-policy utilisation/overload/residency.
         assert report.checked >= 3 * 16 + 3 * 3
 
     def test_registry_from_sweep_exposes_gauges(self):
-        from repro.runtime.sweep import SweepPlan, run_plan
+        from repro.runtime.sweep import SweepRunner
+        from repro.scenario import Scenario, WorkloadSpec
 
-        result = run_plan(
-            SweepPlan(apps=("sec-gateway",), devices=("device-a",),
-                      packet_sizes=(64, 256), packets_per_point=50),
-            use_cache=False)
+        scenario = Scenario(
+            kind="sweep", apps=("sec-gateway",), devices=("device-a",),
+            workload=WorkloadSpec(packet_sizes=(64, 256),
+                                  packets_per_point=50))
+        result = SweepRunner(scenario, use_cache=False).run()
         registry = registry_from_sweep(result)
         paths = registry.paths()
         assert "sweep.sec-gateway.device-a.64B.throughput_gbps" in paths

@@ -16,7 +16,7 @@ from repro.obs.tracectx import (
     sanitise_trace_id,
     stitch_spans,
 )
-from repro.runtime.sweep import SweepPlan, run_plan
+from repro.runtime.sweep import SweepRunner
 from repro.runtime.trace import TraceBus
 from repro.scenario import Scenario, WorkloadSpec
 from repro.service import run_scenario
@@ -131,10 +131,11 @@ class TestSweepStitching:
     SIZES = (64, 128, 256)
 
     def _sweep(self, workers):
-        plan = SweepPlan(apps=("sec-gateway",), devices=("device-a",),
-                         packet_sizes=self.SIZES, packets_per_point=40,
-                         trace=True)
-        return run_plan(plan, workers=workers, use_cache=False)
+        scenario = Scenario(
+            kind="sweep", apps=("sec-gateway",), devices=("device-a",),
+            workload=WorkloadSpec(packet_sizes=self.SIZES,
+                                  packets_per_point=40, trace=True))
+        return SweepRunner(scenario, workers=workers, use_cache=False).run()
 
     def test_byte_identical_across_worker_counts(self):
         solo = self._sweep(1).stitched_trace_jsonl(trace_id="t")
@@ -155,9 +156,10 @@ class TestSweepStitching:
             f"sweep.sec-gateway.harmonia.{size}B" for size in self.SIZES]
 
     def test_untraced_sweep_stitches_to_empty(self):
-        plan = SweepPlan(apps=("sec-gateway",), devices=("device-a",),
-                         packet_sizes=(64,), packets_per_point=40)
-        result = run_plan(plan, use_cache=False)
+        scenario = Scenario(
+            kind="sweep", apps=("sec-gateway",), devices=("device-a",),
+            workload=WorkloadSpec(packet_sizes=(64,), packets_per_point=40))
+        result = SweepRunner(scenario, use_cache=False).run()
         assert result.stitched_trace_jsonl(trace_id="t") == ""
 
 

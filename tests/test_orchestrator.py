@@ -19,7 +19,6 @@ from repro.runtime.orchestrator import (
     FleetState,
     Orchestrator,
     desired_residency,
-    run_orchestrator,
     weighted_percentiles,
 )
 from repro.scenario import EpochsSpec
@@ -36,7 +35,7 @@ SMALL_SPEC = EpochsSpec(epochs=18, churn=0.03, failure_every=5,
 
 @pytest.fixture(scope="module")
 def small_runs():
-    return {mode: run_orchestrator(SMALL_FLEET, SMALL_SPEC, mode=mode)
+    return {mode: Orchestrator(SMALL_FLEET, SMALL_SPEC, mode=mode).run()
             for mode in MODES}
 
 
@@ -217,15 +216,15 @@ class TestBitExactness:
         snapshots = []
         for mode in ("incremental", "full"):
             context = SimContext(name=f"orch-{mode}")
-            run_orchestrator(SMALL_FLEET, SMALL_SPEC, mode=mode,
-                             context=context)
+            Orchestrator(SMALL_FLEET, SMALL_SPEC, mode=mode,
+                         context=context).run()
             snapshots.append(context.metrics.snapshot())
         assert snapshots[0] == snapshots[1]
 
     def test_traced_day_exports_jsonl(self):
         context = SimContext(name="orch-traced", trace=True)
         spec = dataclasses.replace(SMALL_SPEC, epochs=3)
-        run_orchestrator(SMALL_FLEET, spec, context=context)
+        Orchestrator(SMALL_FLEET, spec, context=context).run()
         records = [json.loads(line) for line in
                    context.trace.export_jsonl().splitlines()]
         run_ids = {record["id"] for record in records
@@ -246,8 +245,8 @@ class TestBitExactness:
         assert excinfo.value.epoch == 0
 
     def test_runs_are_deterministic(self):
-        first = run_orchestrator(SMALL_FLEET, SMALL_SPEC)
-        second = run_orchestrator(SMALL_FLEET, SMALL_SPEC)
+        first = Orchestrator(SMALL_FLEET, SMALL_SPEC).run()
+        second = Orchestrator(SMALL_FLEET, SMALL_SPEC).run()
         assert first.to_json() == second.to_json()
 
 
@@ -276,13 +275,13 @@ class TestEpochMechanics:
     def test_policies_all_run(self):
         for policy in ("round-robin", "least-loaded"):
             spec = dataclasses.replace(SMALL_SPEC, epochs=4, policy=policy)
-            result = run_orchestrator(SMALL_FLEET, spec, mode="verify")
+            result = Orchestrator(SMALL_FLEET, spec, mode="verify").run()
             assert result.final.flows > 0
 
     def test_autoscale_disabled_keeps_fleet_flat(self):
         spec = dataclasses.replace(SMALL_SPEC, epochs=6, autoscale=False,
                                    failure_every=0, drain_every=0)
-        result = run_orchestrator(SMALL_FLEET, spec)
+        result = Orchestrator(SMALL_FLEET, spec).run()
         alive = {stats.alive_devices for stats in result.epochs}
         assert alive == {SMALL_FLEET.device_count}
         assert all(stats.scaled_up == stats.scaled_down == 0
@@ -403,7 +402,7 @@ class TestScale:
     def test_churn_zero_is_stable(self):
         spec = EpochsSpec(epochs=3, churn=0.0, failure_every=0,
                           drain_every=0, autoscale=False)
-        result = run_orchestrator(SMALL_FLEET, spec, mode="verify")
+        result = Orchestrator(SMALL_FLEET, spec, mode="verify").run()
         flows = {stats.flows for stats in result.epochs}
         assert flows == {SMALL_FLEET.flow_count}
 

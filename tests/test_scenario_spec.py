@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, HarmoniaError
-from repro.runtime.buildfarm import DEFAULT_SOFTWARE, BuildPlan, fleet_build_plan
+from repro.runtime.buildfarm import BuildFarm, BuildPlan, fleet_build_plan
 from repro.runtime.fleet import FleetSpec
-from repro.runtime.sweep import SweepPlan, chain_signature, point_chain, sweep_cache_key
+from repro.runtime.sweep import SweepRunner, chain_signature, point_chain, sweep_cache_key
 from repro.scenario import (
     DEFAULT_BUILD_SOFTWARE,
     SCENARIO_VERSION,
@@ -278,16 +278,19 @@ class TestSweepCacheKeyInsensitivity:
 
 
 class TestTierConversions:
-    def test_sweep_plan_round_trips_through_scenario(self):
-        plan = SweepPlan(apps=("sec-gateway", "host-network"),
-                         devices=("device-a",), packet_sizes=(64, 128),
-                         packets_per_point=10, trace=True)
-        assert SweepPlan.from_scenario(plan.to_scenario()) == plan
-
-    def test_plan_expand_delegates_to_scenario(self):
-        plan = SweepPlan(apps=("sec-gateway",), devices=("device-a",),
-                         packet_sizes=(64, 128), packets_per_point=10)
-        assert plan.expand() == plan.to_scenario().expand_points()
+    def test_runner_runs_the_scenario_points(self):
+        scenario = sweep_scenario(
+            apps=("sec-gateway", "host-network"), engine="des",
+            workload=WorkloadSpec(packet_sizes=(64, 128),
+                                  packets_per_point=10))
+        runner = SweepRunner(scenario, use_cache=False)
+        assert runner.points == scenario.expand_points()
+        result = runner.run()
+        assert [outcome.point for outcome in result.points] == runner.points
+        assert result.to_json()["plan"] == {
+            "apps": ["sec-gateway", "host-network"],
+            "devices": ["device-a"],
+            **scenario.workload.to_json()}
 
     def test_scenario_engine_lands_on_every_point(self):
         scenario = sweep_scenario(engine="des")
@@ -324,8 +327,9 @@ class TestTierConversions:
                             build=BuildSpec(effort=2))
         plan = BuildPlan.from_scenario(scenario)
         assert plan == BuildPlan(devices=("device-a", "device-b"),
-                                 roles=("sec-gateway",), effort=2,
-                                 software=DEFAULT_SOFTWARE)
+                                 roles=("sec-gateway",),
+                                 build=BuildSpec(effort=2))
+        assert plan.build is scenario.build
 
     def test_build_plan_defaults_to_fleet_year(self):
         scenario = Scenario(kind="build", year=2_022)
@@ -334,14 +338,23 @@ class TestTierConversions:
     def test_kind_mismatch_is_loud(self):
         fleet = Scenario(kind="fleet")
         with pytest.raises(ConfigurationError, match="sweep"):
-            SweepPlan.from_scenario(fleet)
+            SweepRunner(fleet)
         with pytest.raises(ConfigurationError, match="fleet"):
             FleetSpec.from_scenario(sweep_scenario())
         with pytest.raises(ConfigurationError, match="build"):
             BuildPlan.from_scenario(fleet)
 
     def test_default_build_software_matches_build_farm(self):
-        assert DEFAULT_BUILD_SOFTWARE == DEFAULT_SOFTWARE
+        # The farm declares no bundle of its own: a default scenario
+        # packages the spec's.
+        scenario = Scenario(kind="build", apps=("board-test",),
+                            devices=("device-a",))
+        report = BuildFarm(BuildPlan.from_scenario(scenario)).run()
+        assert report.to_json()["plan"]["software"] == list(
+            DEFAULT_BUILD_SOFTWARE)
+        (target,) = report.targets
+        assert target.manifest["bundle"]["software"] == list(
+            DEFAULT_BUILD_SOFTWARE)
 
 
 # ---------------------------------------------------------------------------

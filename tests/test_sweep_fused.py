@@ -18,7 +18,6 @@ import repro.runtime.sweep as sweep_module
 from repro.errors import ConfigurationError
 from repro.runtime.sweep import (
     SweepCache,
-    SweepPlan,
     SweepPoint,
     SweepRunner,
     _pool_chunksize,
@@ -26,16 +25,18 @@ from repro.runtime.sweep import (
     run_fused_group,
     run_point,
 )
+from repro.scenario import Scenario, WorkloadSpec
 
 APP = "sec-gateway"
 DEVICE = "device-a"
 
 
-def small_plan(**overrides):
-    defaults = dict(apps=(APP, "host-network"), devices=(DEVICE,),
-                    packet_sizes=(64, 256, 1024), packets_per_point=150)
-    defaults.update(overrides)
-    return SweepPlan(**defaults)
+def small_plan(apps=(APP, "host-network"), engine="auto", **workload):
+    """A sweep scenario; ``workload`` overrides :class:`WorkloadSpec`."""
+    fields = dict(packet_sizes=(64, 256, 1024), packets_per_point=150)
+    fields.update(workload)
+    return Scenario(kind="sweep", apps=apps, devices=(DEVICE,),
+                    engine=engine, workload=WorkloadSpec(**fields))
 
 
 def result_bytes(result):
@@ -228,9 +229,9 @@ class TestProvenance:
         assert result_bytes(first) == result_bytes(second)
 
     def test_engine_des_disables_fusing(self):
-        plan = small_plan(packet_sizes=(64,), packets_per_point=40)
-        result = SweepRunner(plan, cache=SweepCache(), engine="des",
-                             fuse=True).run()
+        plan = small_plan(packet_sizes=(64,), packets_per_point=40,
+                          engine="des")
+        result = SweepRunner(plan, cache=SweepCache(), fuse=True).run()
         assert result.fused_points == 0
         assert result.pooled_points == len(result)
 
@@ -245,17 +246,16 @@ class TestProvenance:
                             lambda chain: False)
         monkeypatch.setattr(vector_module, "chain_supports_vector",
                             lambda chain: False)
-        plan = small_plan(packet_sizes=(64,), packets_per_point=40)
+        plan = small_plan(packet_sizes=(64,), packets_per_point=40,
+                          engine="vector")
         with pytest.raises(ConfigurationError):
-            SweepRunner(plan, cache=SweepCache(), engine="vector",
-                        fuse=True).run()
+            SweepRunner(plan, cache=SweepCache(), fuse=True).run()
 
     def test_intra_run_dedup_survives_fusing(self):
         # device-a and device-a listed twice: same content keys, the
         # second copy must be served by dedup, not executed again.
-        plan = SweepPlan(apps=(APP,), devices=(DEVICE,),
-                         packet_sizes=(64, 64, 256),
-                         packets_per_point=40)
+        plan = small_plan(apps=(APP,), packet_sizes=(64, 64, 256),
+                          packets_per_point=40)
         result = SweepRunner(plan, cache=SweepCache(), fuse=True).run()
         assert len(result) == 3
         assert result.fused_points == 2       # 64B executed once

@@ -14,13 +14,12 @@ from repro.errors import ConfigurationError, HarmoniaError
 from repro.platform.catalog import device_by_name
 from repro.runtime.sweep import (
     SweepCache,
-    SweepPlan,
     SweepPoint,
     SweepRunner,
     chain_signature,
-    run_plan,
     sweep_cache_key,
 )
+from repro.scenario import Scenario, WorkloadSpec
 from repro.sim.clock import ClockDomain
 from repro.sim.pipeline import (
     PipelineChain,
@@ -33,11 +32,16 @@ APP = "sec-gateway"
 DEVICE = "device-a"
 
 
+def sweep(apps=(APP,), devices=(DEVICE,), engine="auto", **workload):
+    """A sweep scenario; ``workload`` holds :class:`WorkloadSpec` fields."""
+    return Scenario(kind="sweep", apps=apps, devices=devices, engine=engine,
+                    workload=WorkloadSpec(**workload))
+
+
 def small_plan(**overrides):
-    defaults = dict(apps=(APP,), devices=(DEVICE,), packet_sizes=(64, 256),
-                    packets_per_point=200)
+    defaults = dict(packet_sizes=(64, 256), packets_per_point=200)
     defaults.update(overrides)
-    return SweepPlan(**defaults)
+    return sweep(**defaults)
 
 
 def app_chain(app_name=APP, device_name=DEVICE, with_harmonia=True):
@@ -48,21 +52,20 @@ def app_chain(app_name=APP, device_name=DEVICE, with_harmonia=True):
 
 class TestPlan:
     def test_expand_is_app_device_size_ordered(self):
-        plan = SweepPlan(apps=("a1", "a2"), devices=("d1", "d2"),
-                        packet_sizes=(64, 128), packets_per_point=10)
+        plan = sweep(apps=("a1", "a2"), devices=("d1", "d2"),
+                     packet_sizes=(64, 128), packets_per_point=10)
         labels = [(p.app, p.device, p.packet_size_bytes)
-                  for p in plan.expand()]
+                  for p in plan.expand_points()]
         assert labels == [
             ("a1", "d1", 64), ("a1", "d1", 128),
             ("a1", "d2", 64), ("a1", "d2", 128),
             ("a2", "d1", 64), ("a2", "d1", 128),
             ("a2", "d2", 64), ("a2", "d2", 128),
         ]
-        assert len(plan) == 8
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ConfigurationError):
-            SweepPlan(apps=(), devices=("d",), packet_sizes=(64,))
+            sweep(apps=(), devices=("d",), packet_sizes=(64,))
 
     def test_zero_packets_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -201,14 +204,14 @@ class TestRunner:
 
     def test_use_cache_false_never_reads_or_writes(self):
         cache = SweepCache()
-        result = run_plan(small_plan(), cache=cache, use_cache=False)
+        result = SweepRunner(small_plan(), cache=cache, use_cache=False).run()
         assert result.cache_hits == 0
         assert len(cache) == 0
 
     def test_matches_direct_reference_sweep(self):
         # The runner's numbers are exactly what the seed's serial loop
         # produces point by point -- caching and batching change nothing.
-        result = run_plan(small_plan(), use_cache=False)
+        result = SweepRunner(small_plan(), use_cache=False).run()
         chain = app_chain()
         for point in result.points:
             expected = run_packet_sweep_reference(
@@ -219,7 +222,8 @@ class TestRunner:
 
     def test_samples_match_app_measure(self):
         plan = small_plan(packet_sizes=(64, 256, 1024))
-        samples = run_plan(plan, use_cache=False).samples()[(APP, DEVICE)]
+        result = SweepRunner(plan, use_cache=False).run()
+        samples = result.samples()[(APP, DEVICE)]
         direct = application_by_name(APP).measure(
             device_by_name(DEVICE), packet_sizes=(64, 256, 1024),
             packets_per_point=200)
@@ -234,9 +238,9 @@ class TestRunner:
 
     def test_unknown_app_raises_harmonia_error(self):
         with pytest.raises(HarmoniaError):
-            run_plan(SweepPlan(apps=("no-such-app",), devices=(DEVICE,),
-                               packet_sizes=(64,), packets_per_point=10),
-                     use_cache=False)
+            SweepRunner(sweep(apps=("no-such-app",), packet_sizes=(64,),
+                              packets_per_point=10),
+                        use_cache=False).run()
 
 
 class TestDeterminism:
@@ -244,8 +248,8 @@ class TestDeterminism:
         # ISSUE acceptance: byte-identical output at workers=1 vs workers=4.
         plan = small_plan(packet_sizes=(64, 256), packets_per_point=50,
                           trace=True)
-        serial = run_plan(plan, workers=1, use_cache=False)
-        pooled = run_plan(plan, workers=4, use_cache=False)
+        serial = SweepRunner(plan, workers=1, use_cache=False).run()
+        pooled = SweepRunner(plan, workers=4, use_cache=False).run()
         assert serial.to_json() == pooled.to_json()
         assert serial.merged_trace_jsonl() == pooled.merged_trace_jsonl()
         assert serial.merged_trace_jsonl()   # non-trivial comparison
@@ -253,17 +257,17 @@ class TestDeterminism:
     def test_warm_cache_reproduces_cold_traces_byte_for_byte(self):
         plan = small_plan(packet_sizes=(64,), packets_per_point=50, trace=True)
         cache = SweepCache()
-        cold = run_plan(plan, cache=cache)
-        warm = run_plan(plan, cache=cache)
+        cold = SweepRunner(plan, cache=cache).run()
+        warm = SweepRunner(plan, cache=cache).run()
         assert warm.cache_hits == len(warm)
         assert warm.merged_trace_jsonl() == cold.merged_trace_jsonl()
 
     def test_each_traced_point_carries_its_own_chain_spans(self):
         # Guards the trace_of key component: a traced point must never
         # serve another chain's spans even when timing content matches.
-        plan = SweepPlan(apps=(APP, "host-network"), devices=(DEVICE,),
-                         packet_sizes=(64,), packets_per_point=50, trace=True)
-        result = run_plan(plan, use_cache=False)
+        plan = sweep(apps=(APP, "host-network"), packet_sizes=(64,),
+                     packets_per_point=50, trace=True)
+        result = SweepRunner(plan, use_cache=False).run()
         for point in result.points:
             app = application_by_name(point.point.app)
             chain = app.datapath(
@@ -329,27 +333,34 @@ class TestAtomicCacheSave:
 class TestEngineTiers:
     def test_vector_and_des_tiers_are_byte_identical(self):
         # ISSUE acceptance: vector-vs-DES invisible for analytic chains.
-        plan = small_plan(packet_sizes=(64, 256), packets_per_point=100,
-                          trace=True)
-        vector = run_plan(plan, use_cache=False, engine="vector")
-        des = run_plan(plan, use_cache=False, engine="des")
+        vector_plan = small_plan(packet_sizes=(64, 256),
+                                 packets_per_point=100, trace=True,
+                                 engine="vector")
+        des_plan = vector_plan.replace(engine="des")
+        vector = SweepRunner(vector_plan, use_cache=False).run()
+        des = SweepRunner(des_plan, use_cache=False).run()
         assert vector.to_json() == des.to_json()
         assert vector.merged_trace_jsonl() == des.merged_trace_jsonl()
         assert vector.merged_trace_jsonl()  # non-trivial comparison
 
     def test_engine_is_not_part_of_the_cache_key(self):
         cache = SweepCache()
-        plan = small_plan(packet_sizes=(64,), packets_per_point=100)
-        run_plan(plan, cache=cache, engine="vector")
-        warm = run_plan(plan, cache=cache, engine="des")
+        vector_plan = small_plan(packet_sizes=(64,), packets_per_point=100,
+                                 engine="vector")
+        des_plan = vector_plan.replace(engine="des")
+        SweepRunner(vector_plan, cache=cache).run()
+        warm = SweepRunner(des_plan, cache=cache).run()
         assert warm.cache_hits == len(warm)
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SweepRunner(small_plan(), engine="warp")
+        # The engine is the scenario's: an unknown one never reaches a
+        # runner.
+        with pytest.raises(ConfigurationError, match="warp"):
+            small_plan(engine="warp")
 
     def test_point_results_identical_across_workers_with_vector(self):
-        plan = small_plan(packet_sizes=(64, 256), packets_per_point=50)
-        serial = run_plan(plan, workers=1, use_cache=False, engine="vector")
-        pooled = run_plan(plan, workers=4, use_cache=False, engine="vector")
+        plan = small_plan(packet_sizes=(64, 256), packets_per_point=50,
+                          engine="vector")
+        serial = SweepRunner(plan, workers=1, use_cache=False).run()
+        pooled = SweepRunner(plan, workers=4, use_cache=False).run()
         assert serial.to_json() == pooled.to_json()
